@@ -12,8 +12,8 @@ Times the four rebuilt layers on both generated domains —
 * **figure9 sweep** — the end-to-end source-prefix sweep through
   ``restrict_sources`` vs per-prefix dataset copies + legacy compiles;
 * **parallel** (``--workers N``, N > 1) — the Figure 9 sweep and the
-  16-method comparison through the batched restriction solver and the
-  shared-memory solve scheduler, vs the serial vectorized path;
+  16-method comparison through the shared-memory solve scheduler, vs the
+  same solves in process;
 * **serving** — the asyncio HTTP front-end under load: concurrent clients
   hammering ``/lookup`` and ``/ensemble`` against a store re-published live
   underneath them, recording serve p50/p99, publish-visible latency, and a
@@ -334,11 +334,10 @@ def bench_streaming(domain: str, scale: str) -> Dict[str, object]:
 def bench_parallel(domain: str, scale: str, workers: int) -> Dict[str, object]:
     """Parallel scenario: the Figure 9 sweep and the 16-method comparison.
 
-    Three sweep configurations — the per-prefix serial loop (the PR-1
-    vectorized baseline), the batched restriction solver on one core, and
-    the batched solver fanned out over ``workers`` shared-memory workers —
-    plus the 16-method comparison serial versus scheduled.  Cross-checks
-    that every configuration produces identical curves / selections.
+    The restriction sweep in process versus fanned out over ``workers``
+    shared-memory workers, plus the 16-method comparison serial versus
+    scheduled.  Cross-checks that both configurations produce identical
+    curves / selections.
     """
     from repro.parallel import SolveScheduler, solve_methods
 
@@ -359,8 +358,7 @@ def bench_parallel(domain: str, scale: str, workers: int) -> Dict[str, object]:
         )
         return time.perf_counter() - started, curves
 
-    serial_s, serial_curves = sweep(batched=False)
-    batched_s, batched_curves = sweep(batched=True)
+    serial_s, serial_curves = sweep()
 
     started = time.perf_counter()
     serial16 = {name: make_method(name).run(problem) for name in METHOD_NAMES}
@@ -382,8 +380,7 @@ def bench_parallel(domain: str, scale: str, workers: int) -> Dict[str, object]:
         parallel16_s = time.perf_counter() - started
 
     curves_equal = all(
-        serial_curves[name].recalls == batched_curves[name].recalls
-        == parallel_curves[name].recalls
+        serial_curves[name].recalls == parallel_curves[name].recalls
         for name in SWEEP_METHODS
     )
     selections_equal = all(
@@ -396,9 +393,7 @@ def bench_parallel(domain: str, scale: str, workers: int) -> Dict[str, object]:
             "methods": list(SWEEP_METHODS),
             "prefix_sizes": len(prefix_sizes),
             "serial_s": serial_s,
-            "batched_s": batched_s,
             "parallel_s": parallel_s,
-            "batched_speedup": serial_s / batched_s,
             "parallel_speedup": serial_s / parallel_s,
             "curves_equal": curves_equal,
         },
@@ -988,8 +983,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(
                 f"[bench] {domain}: parallel@{args.workers}w sweep"
                 f" x{par['figure9_sweep']['parallel_speedup']:.1f}"
-                f" (batched x{par['figure9_sweep']['batched_speedup']:.1f},"
-                f" curves equal: {par['figure9_sweep']['curves_equal']}),"
+                f" (curves equal: {par['figure9_sweep']['curves_equal']}),"
                 f" 16 methods x{par['methods16']['speedup']:.1f}"
                 f" (selections equal: {par['methods16']['selections_equal']})",
                 flush=True,
@@ -1058,10 +1052,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         summary["parallel_methods16_speedup_min"] = min(
             domains[d]["parallel"]["methods16"]["speedup"] for d in domains
-        )
-        summary["batched_sweep_speedup_min"] = min(
-            domains[d]["parallel"]["figure9_sweep"]["batched_speedup"]
-            for d in domains
         )
     native_legs = [
         domains[d]["engines"] for d in domains

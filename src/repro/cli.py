@@ -237,7 +237,6 @@ def _start_listener(args: argparse.Namespace, listen: tuple, store):
         store,
         host,
         port,
-        backend=args.backend,
         auth_token=args.auth_token,
         log_stream=None if args.no_request_log else sys.stderr,
     )
@@ -569,12 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="require this bearer token (Authorization: "
                             "Bearer or X-API-Token) on every endpoint "
                             "except /health")
-    serve.add_argument("--backend", choices=("stdlib", "starlette"),
-                       default="stdlib",
-                       help="HTTP backend for --listen; starlette/uvicorn "
-                            "is an optional fast path that falls back to "
-                            "the stdlib server with a warning when the "
-                            "packages are missing")
     serve.add_argument("--no-request-log", action="store_true",
                        help="disable the structured JSON request log "
                             "emitted to stderr while listening")

@@ -13,6 +13,7 @@ snapshots a from-scratch pipeline would recompile.
 
 from __future__ import annotations
 
+import datetime
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -36,6 +37,25 @@ class ClaimStream:
         return [delta.day for delta in self.deltas]
 
 
+def _day_labels(base_day: str, n_days: int) -> List[str]:
+    """Labels for the ``n_days`` after ``base_day`` that sort in day order.
+
+    An ISO-dated base continues with consecutive ISO dates; any other base
+    gets a zero-padded step suffix (``d0+01`` ... ``d0+12``), so string
+    comparison — what ``TruthStore(monotonic_days=True)`` uses — never puts
+    day 10 before day 9.
+    """
+    try:
+        first = datetime.date.fromisoformat(base_day)
+    except ValueError:
+        width = len(str(n_days))
+        return [f"{base_day}+{step:0{width}d}" for step in range(1, n_days + 1)]
+    return [
+        (first + datetime.timedelta(days=step)).isoformat()
+        for step in range(1, n_days + 1)
+    ]
+
+
 def perturbed_claim_stream(
     base: Dataset,
     n_days: int,
@@ -49,7 +69,9 @@ def perturbed_claim_stream(
     Each day, ``churn`` of the live (source, item) cells are touched:
     ``retract_share`` of them are retracted, the rest get their numeric
     value nudged by a relative N(0, ``jitter``) step (string values are
-    kept as-is, modelling re-confirmation).  Deterministic in ``seed``.
+    kept as-is, modelling re-confirmation).  Days are labelled so they
+    sort in step order (see :func:`_day_labels`).  Deterministic in
+    ``seed``.
     """
     rng = np.random.default_rng(seed)
     current: Dict[Tuple[str, DataItem], Claim] = {}
@@ -59,8 +81,7 @@ def perturbed_claim_stream(
 
     deltas: List[ClaimDelta] = []
     snapshots: List[Dataset] = []
-    for step in range(1, n_days + 1):
-        day = f"{base.day}+{step}"
+    for day in _day_labels(base.day, n_days):
         cells = list(current.keys())
         n_touched = max(1, int(len(cells) * churn))
         touched = rng.choice(len(cells), size=n_touched, replace=False)

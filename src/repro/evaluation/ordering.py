@@ -14,9 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.dataset import Dataset
 from repro.core.gold import GoldStandard, recall_of_source
-from repro.evaluation.metrics import evaluate
 from repro.fusion.base import FusionProblem
-from repro.fusion.registry import make_method
 
 
 def sources_by_recall(dataset: Dataset, gold: GoldStandard) -> List[str]:
@@ -60,7 +58,6 @@ def recall_as_sources_added(
     problem: Optional[FusionProblem] = None,
     workers: int = 0,
     scheduler=None,
-    batched: bool = True,
 ) -> Dict[str, RecallCurve]:
     """Figure 9: recall of each method over growing source prefixes.
 
@@ -70,11 +67,10 @@ def recall_as_sources_added(
     every prefix is carved out with ``restrict_sources`` — no per-prefix
     dataset copies or re-clustering.
 
-    Prefixes are independent solves, so the sweep runs through the batched
-    restriction solver (:mod:`repro.fusion.batch`) and, with ``workers > 1``
-    (or a shared :class:`~repro.parallel.SolveScheduler`), fans out across
-    worker processes — identical recalls either way.  ``batched=False``
-    forces the original per-prefix loop.
+    Prefixes are independent solves, so the sweep compiles every prefix
+    once for all methods (:mod:`repro.fusion.batch`) and, with
+    ``workers > 1`` (or a shared :class:`~repro.parallel.SolveScheduler`),
+    fans out across worker processes — identical recalls either way.
     """
     from repro.parallel import solve_sweep
 
@@ -83,18 +79,6 @@ def recall_as_sources_added(
         range(1, len(order) + 1)
     )
     base = problem if problem is not None else FusionProblem(dataset)
-    if not batched and workers <= 1 and scheduler is None:
-        # The historical per-prefix loop, kept as the benchmark baseline.
-        curves: Dict[str, List[float]] = {name: [] for name in method_names}
-        for size in sizes:
-            subproblem = base.restrict_sources(order[:size])
-            for name in method_names:
-                result = make_method(name).run(subproblem)
-                curves[name].append(evaluate(subproblem, gold, result).recall)
-        return {
-            name: RecallCurve(method=name, recalls=values)
-            for name, values in curves.items()
-        }
     rows = solve_sweep(
         base,
         list(method_names),
@@ -103,7 +87,6 @@ def recall_as_sources_added(
         workers=workers,
         scheduler=scheduler,
         evaluate=True,
-        batched=batched,
         return_selection=False,
     )
     return {

@@ -63,7 +63,7 @@ def _subset_recalls(
     workers: int = 0,
     scheduler=None,
 ) -> List[float]:
-    """Fusion recall of ``method`` on every subset (batched / parallel).
+    """Fusion recall of ``method`` on every subset, as one sweep.
 
     Every subset is an independent ``restrict_sources`` solve, so they go
     through the planned scheduler as one sweep — identical recalls to the
@@ -99,8 +99,8 @@ def greedy_source_selection(
     ``candidate_pool`` restricts the candidates (default: all sources,
     pre-ordered by individual recall so ties resolve sensibly).  Complexity
     is O(|selected| * |pool|) fusion runs — each round's candidate
-    evaluations are independent and run as one batched (optionally
-    multi-worker) sweep.
+    evaluations are independent and run as one (optionally multi-worker)
+    sweep.
     """
     pool = list(
         candidate_pool if candidate_pool is not None else sources_by_recall(dataset, gold)

@@ -18,7 +18,7 @@ from repro.fusion.bayesian import (
     TruthFinder,
 )
 from repro.fusion.copy_aware import AccuCopy
-from repro.fusion.batch import BATCH_SAFE_METHODS, RestrictionSweep, solve_restrictions
+from repro.fusion.batch import RestrictionSweep, solve_restrictions
 from repro.fusion.ensemble import (
     ensemble_of_methods,
     ensemble_vote,
@@ -63,7 +63,6 @@ __all__ = [
     "PopAccu",
     "TruthFinder",
     "AccuCopy",
-    "BATCH_SAFE_METHODS",
     "RestrictionSweep",
     "solve_restrictions",
     "ensemble_of_methods",

@@ -250,7 +250,7 @@ class FusionProblem:
         claim masks.
 
         ``attr_tol`` supplies the restriction's Equation-(3) tolerances
-        when the caller has already computed them (the batched sweep solver
+        when the caller has already computed them (the restriction sweep
         derives every subset's medians from one shared sorted pass); it
         must equal ``compute_tolerances(view, mask)`` for the restriction.
         """
@@ -422,7 +422,7 @@ class FusionProblem:
         through named scratch buffers removes the per-round allocations.
         Buffers hold arbitrary garbage between uses and are **not**
         thread-safe — one solve per problem at a time, which is what every
-        caller (sessions, workers, the batched sweep) already guarantees.
+        caller (sessions, workers, the restriction sweep) already guarantees.
         """
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         bufs = self.__dict__.setdefault("_scratch_bufs", {})

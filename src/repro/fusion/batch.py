@@ -1,36 +1,18 @@
-"""Batched solving of many source-restrictions of one problem.
+"""Solving many source-restrictions of one problem.
 
-The Figure 9 sweep and greedy source selection solve the *same* method on
+The Figure 9 sweep and greedy source selection solve *several* methods on
 dozens of restrictions of the *same* snapshot (source prefixes, candidate
-subsets).  Solving them one by one pays per-restriction Python dispatch for
-every kernel of every fixed-point round — and at small prefixes the arrays
-are tiny, so dispatch dominates the flops.
-
-:func:`solve_restrictions` compiles each restriction exactly as the
-per-job path does (``restrict_sources`` — the compile work is identical),
-then **concatenates** the compiled problems into one block-diagonal
-super-problem: job ``j``'s items, clusters, claims, and source rows are
-contiguous blocks, and one numpy kernel sweep per round advances *every*
-restriction's fixed point at once.  Because every *batch-safe* method's
-kernels are segment-local (per item / per source / per claim, with no
-global normalization), the stacked iteration computes, round for round,
-exactly the per-job iterations.  Convergence is tracked per job (max trust
-delta over the job's row block); a finished job's rows are frozen and the
-batch **compacts** — rebuilds the concatenation without the finished
-blocks — once frozen claims outweigh a quarter of the batch, so stragglers
-don't drag converged jobs' arrays through their remaining rounds.
-
-Methods with *global* reductions in their kernels — HUB / AVGLOG / INVEST
-(max-normalization over all sources), 2-/3-ESTIMATES (min-max rescaling
-over all clusters), the per-attribute ACCU variants (cross-block smoothing
-state), and ACCUCOPY (pairwise detection) — are not batch-safe and
-transparently fall back to per-job solving, so the API is uniform for all
-sixteen registered methods.
+subsets).  Compiling a restriction costs about as much as solving it, so
+:class:`RestrictionSweep` compiles every restriction once — sharing one
+presorted Equation-(3) tolerance table and delta-compiling nested prefixes
+— and each method then runs one cold fixed point per compiled restriction,
+bit-identical to ``method.run(base.restrict_sources(subset))``.
+:class:`GoldScorer` scores the raw selections against the gold standard
+without packaging per-item dicts.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -41,27 +23,10 @@ from repro.errors import FusionError
 from repro.fusion.base import FusionMethod, FusionProblem, FusionResult
 from repro.fusion.spec import MethodSpec
 
-#: Methods whose vote/trust kernels decompose per block (no global
-#: normalizations), held to per-job equality by tests/fusion/test_batch.py.
-BATCH_SAFE_METHODS = frozenset(
-    {"Vote", "PooledInvest", "Cosine", "TruthFinder",
-     "AccuPr", "PopAccu", "AccuSim", "AccuFormat"}
-)
-
-#: Compact the batch when finished jobs own more than this fraction of the
-#: active claims (rebuilding costs about one round over the survivors).
-COMPACT_THRESHOLD = 0.25
-#: Restrictions holding more than this fraction of the base problem's
-#: claims solve per-job instead of joining the multiplexed batch: their
-#: kernels are already array-bound (amortizing dispatch buys nothing) and
-#: streaming them through the concatenation only spoils cache locality
-#: for the small jobs the batch exists to help.
-LARGE_JOB_FRACTION = 0.35
-
 
 @dataclass
 class RestrictionOutcome:
-    """One restriction's solve outcome (batched or per-job, same shape).
+    """One restriction's solve outcome.
 
     ``result`` is ``None`` for *raw* outcomes (``package=False``): the
     selection stays an array of per-item cluster indices
@@ -93,20 +58,16 @@ def solve_restrictions(
     base: FusionProblem,
     method: Union[FusionMethod, MethodSpec],
     subsets: Sequence[Sequence[str]],
-    batched: bool = True,
 ) -> List[RestrictionOutcome]:
     """Solve ``method`` on every source-restriction of ``base``.
 
     Bit-identical to ``method.run(base.restrict_sources(subset))`` per
     subset; restrictions that lose every claim yield ``empty`` outcomes
-    (the per-job path raises :class:`FusionError` there).  ``batched=False``
-    forces the per-job path — the benchmark's baseline.  To run several
+    (the per-job path raises :class:`FusionError` there).  To run several
     methods over one set of restrictions, build a :class:`RestrictionSweep`
     so the compilations are shared.
     """
-    return RestrictionSweep(base, subsets, shared_tolerances=batched).solve(
-        method, batched=batched
-    )
+    return RestrictionSweep(base, subsets).solve(method)
 
 
 #: Stop delta-compiling a prefix step when the fresh sources dirty more
@@ -120,10 +81,10 @@ class RestrictionSweep:
 
     Compiling a restriction (tolerances + re-bucketing) costs as much as
     solving it, and a sweep typically runs *several* methods over the same
-    subsets — so the compilations are hoisted here and shared.  With
-    ``shared_tolerances`` every subset's Equation-(3) medians come from one
-    presorted pass (:class:`_SharedToleranceTable`) instead of a fresh scan
-    per subset; the resulting problems are identical either way.
+    subsets — so the compilations are hoisted here and shared.  Every
+    subset's Equation-(3) medians come from one presorted pass
+    (:class:`_SharedToleranceTable`) instead of a fresh scan per subset,
+    with identical results.
 
     Consecutive subsets that grow monotonically — the Figure 9 source
     prefixes, and each worker chunk of a strided prefix sweep — are
@@ -140,7 +101,6 @@ class RestrictionSweep:
         self,
         base: FusionProblem,
         subsets: Sequence[Sequence[str]],
-        shared_tolerances: bool = True,
         delta_threshold: float = PREFIX_DELTA_THRESHOLD,
     ):
         self.base = base
@@ -150,7 +110,7 @@ class RestrictionSweep:
         self.delta_compiles = 0
         table = (
             _SharedToleranceTable(base)
-            if shared_tolerances and base._view is not None and len(self.subsets) > 1
+            if base._view is not None and len(self.subsets) > 1
             else None
         )
         view = base._view
@@ -233,59 +193,21 @@ class RestrictionSweep:
     def solve(
         self,
         method: Union[FusionMethod, MethodSpec],
-        batched: bool = True,
         package: bool = True,
     ) -> List[RestrictionOutcome]:
-        """Solve ``method`` on every restriction.
+        """Solve ``method`` on every restriction, one cold fixed point each.
 
-        ``package=False`` (batched path only) returns *raw* outcomes —
-        cluster-index selections and trust arrays instead of packaged
-        :class:`FusionResult` dicts — for vectorized downstream scoring.
+        ``package=False`` returns *raw* outcomes — cluster-index selections
+        and trust arrays instead of packaged :class:`FusionResult` dicts —
+        for vectorized downstream scoring (:class:`GoldScorer`).
         """
         spec = MethodSpec.of(method)
-        live = sum(1 for sub in self.subs if sub is not None)
-        if batched and spec.name in BATCH_SAFE_METHODS and live > 1:
-            if spec.engine == "native":
-                from repro.fusion import native
+        return [
+            _empty_outcome(self.base, subset) if sub is None
+            else _solo_outcome(sub, spec, package)
+            for subset, sub in zip(self.subsets, self.subs)
+        ]
 
-                if native.supports(spec):
-                    # The multiplexed batch exists to amortize numpy kernel
-                    # dispatch across many small jobs; a fused native round
-                    # has no dispatch to amortize, so each restriction runs
-                    # its own native fixed point (the compilations above are
-                    # still shared).
-                    return [
-                        _empty_outcome(self.base, subset) if sub is None
-                        else _solo_outcome(sub, spec, package)
-                        for subset, sub in zip(self.subsets, self.subs)
-                    ]
-            return _solve_batched(self, spec, package)
-        return self._solve_per_job(method)
-
-    def _solve_per_job(
-        self, method: Union[FusionMethod, MethodSpec]
-    ) -> List[RestrictionOutcome]:
-        from repro.fusion.spec import FusionSession
-
-        outcomes: List[RestrictionOutcome] = []
-        for subset, sub in zip(self.subsets, self.subs):
-            if sub is None:
-                outcomes.append(_empty_outcome(self.base, subset))
-                continue
-            result = FusionSession(method, warm_start=False).step(sub)
-            outcomes.append(
-                RestrictionOutcome(
-                    sources=list(sub.sources),
-                    result=result,
-                    matcher=sub,
-                )
-            )
-        return outcomes
-
-
-# --------------------------------------------------------------------------
-# The batched path: concatenated compiled problems, multiplexed rounds
-# --------------------------------------------------------------------------
 
 class _SharedToleranceTable:
     """Equation-(3) tolerances for many source-subsets of one problem.
@@ -345,99 +267,15 @@ class _SharedToleranceTable:
         tolerances[present] = self.factors[present] * medians
         return tolerances
 
-class _ConcatProblem(FusionProblem):
-    """Block-diagonal concatenation of already-compiled problems.
-
-    Only the arrays the batch-safe kernels touch are materialized; the
-    evidence edges concatenate the member problems' lazily-built edges on
-    first access, so a method that never reads them (VOTE) never pays for
-    them — exactly like the per-job path.
-    """
-
-    def __init__(self, subs: Sequence[FusionProblem]):  # noqa: D107
-        self._subs = list(subs)
-        self.item_offsets = np.cumsum([0] + [s.n_items for s in subs])
-        self.cluster_offsets = np.cumsum([0] + [s.n_clusters for s in subs])
-        self.source_offsets = np.cumsum([0] + [s.n_sources for s in subs])
-        self.claim_offsets = np.cumsum([0] + [s.n_claims for s in subs])
-        self.n_items = int(self.item_offsets[-1])
-        self.n_clusters = int(self.cluster_offsets[-1])
-        self.n_sources = int(self.source_offsets[-1])
-        self.n_claims = int(self.claim_offsets[-1])
-        self.n_attrs = subs[0].n_attrs
-
-        self.cluster_item = np.concatenate([
-            s.cluster_item + off
-            for s, off in zip(subs, self.item_offsets[:-1])
-        ])
-        self.cluster_support = np.concatenate([s.cluster_support for s in subs])
-        self.item_start = np.append(
-            np.concatenate([
-                s.item_start[:-1] + off
-                for s, off in zip(subs, self.cluster_offsets[:-1])
-            ]),
-            self.n_clusters,
-        )
-        self.claim_source = np.concatenate([
-            s.claim_source + off
-            for s, off in zip(subs, self.source_offsets[:-1])
-        ])
-        self.claim_cluster = np.concatenate([
-            s.claim_cluster + off
-            for s, off in zip(subs, self.cluster_offsets[:-1])
-        ])
-        self.claim_item = np.concatenate([
-            s.claim_item + off
-            for s, off in zip(subs, self.item_offsets[:-1])
-        ])
-        self.claims_per_source = np.concatenate([s.claims_per_source for s in subs])
-        self.providers_per_item = np.concatenate([s.providers_per_item for s in subs])
-        self.clusters_per_item = np.concatenate([s.clusters_per_item for s in subs])
-        self._sim: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._fmt: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._copy = None
-        self._copy_seed = None
-
-    @property
-    def similarity_edges(self):
-        if self._sim is None:
-            edges = [s.similarity_edges for s in self._subs]
-            self._sim = (
-                np.concatenate([
-                    e[0] + off for e, off in zip(edges, self.cluster_offsets[:-1])
-                ]),
-                np.concatenate([
-                    e[1] + off for e, off in zip(edges, self.cluster_offsets[:-1])
-                ]),
-                np.concatenate([e[2] for e in edges]),
-            )
-        return self._sim
-
-    @property
-    def format_edges(self):
-        if self._fmt is None:
-            edges = [s.format_edges for s in self._subs]
-            self._fmt = (
-                np.concatenate([
-                    e[0] + off for e, off in zip(edges, self.source_offsets[:-1])
-                ]),
-                np.concatenate([
-                    e[1] + off for e, off in zip(edges, self.cluster_offsets[:-1])
-                ]),
-                np.concatenate([e[2] for e in edges]),
-            )
-        return self._fmt
-
 
 def _solo_outcome(
     sub: FusionProblem, spec: MethodSpec, package: bool
 ) -> RestrictionOutcome:
-    """Solve one restriction alone (large or leftover jobs of a batch)."""
+    """Solve one restriction from a cold start."""
     from repro.fusion.spec import FusionSession, run_fixed_point
 
     if package:
         result = FusionSession(spec, warm_start=False).step(sub)
-        result.extras["batched"] = True  # planned by the batch solver
         return RestrictionOutcome(
             sources=list(sub.sources), result=result, matcher=sub
         )
@@ -454,116 +292,8 @@ def _solo_outcome(
     )
 
 
-def _solve_batched(
-    sweep: RestrictionSweep, spec: MethodSpec, package: bool = True
-) -> List[RestrictionOutcome]:
-    started = time.perf_counter()
-    outcomes: List[Optional[RestrictionOutcome]] = [None] * len(sweep.subsets)
-    cutoff = LARGE_JOB_FRACTION * sweep.base.n_claims
-    subs: List[FusionProblem] = []
-    job_ids: List[int] = []
-    for j, (subset, sub) in enumerate(zip(sweep.subsets, sweep.subs)):
-        if sub is None:
-            outcomes[j] = _empty_outcome(sweep.base, subset)
-            continue
-        if sub.n_claims > cutoff:
-            outcomes[j] = _solo_outcome(sub, spec, package)
-            continue
-        subs.append(sub)
-        job_ids.append(j)
-    if not subs:
-        return outcomes  # type: ignore[return-value]
-    if len(subs) == 1:
-        outcomes[job_ids[0]] = _solo_outcome(subs[0], spec, package)
-        return outcomes  # type: ignore[return-value]
-
-    # ---- multiplexed fixed point over the concatenation of the jobs
-    blocks = list(range(len(subs)))  # sub index of each stacked block
-    stacked = _ConcatProblem(subs)
-    state = {"trust": np.concatenate([
-        spec.initial_state(s, None)["trust"] for s in subs
-    ])}
-    frozen_rows = np.zeros(stacked.n_sources, dtype=bool)
-    frozen_claims = 0
-    finished: dict = {}  # sub index -> (selected, trust, rounds, converged)
-
-    rounds = 0
-    while len(finished) < len(subs) and rounds < spec.max_rounds:
-        rounds += 1
-        trust = state["trust"]
-        scores = spec.votes(stacked, state)
-        # Batch-safe methods never read the selection inside update_trust
-        # (only ACCUCOPY does, and it is not batch-safe), so the per-item
-        # argmax — pure output — is deferred to rounds where a job actually
-        # finishes; the per-job loop computes it every round and discards it.
-        new_trust = spec.update_trust(stacked, state, scores, None)
-        if frozen_claims:
-            new_trust[frozen_rows] = trust[frozen_rows]
-        diff = stacked.scratch("batch_delta", new_trust.shape)
-        np.subtract(new_trust, trust, out=diff)
-        np.abs(diff, out=diff)
-        deltas = np.maximum.reduceat(diff, stacked.source_offsets[:-1])
-        state["trust"] = new_trust
-        selected = None
-        for pos, sub_index in enumerate(blocks):
-            if sub_index in finished:
-                continue
-            if deltas[pos] < spec.tolerance or rounds == spec.max_rounds:
-                if selected is None:
-                    selected = stacked.argmax_per_item(scores)
-                i0, i1 = stacked.item_offsets[pos], stacked.item_offsets[pos + 1]
-                r0, r1 = stacked.source_offsets[pos], stacked.source_offsets[pos + 1]
-                finished[sub_index] = (
-                    selected[i0:i1] - stacked.cluster_offsets[pos],
-                    new_trust[r0:r1].copy(),
-                    rounds,
-                    bool(deltas[pos] < spec.tolerance),
-                )
-                frozen_rows[r0:r1] = True
-                frozen_claims += int(
-                    stacked.claim_offsets[pos + 1] - stacked.claim_offsets[pos]
-                )
-        survivors = [i for i in blocks if i not in finished]
-        if survivors and frozen_claims > COMPACT_THRESHOLD * stacked.n_claims:
-            carried = state["trust"][~frozen_rows]
-            blocks = survivors
-            stacked = _ConcatProblem([subs[i] for i in blocks])
-            state = {"trust": carried}
-            frozen_rows = np.zeros(stacked.n_sources, dtype=bool)
-            frozen_claims = 0
-    elapsed = time.perf_counter() - started
-
-    # ---- package per-job outcomes exactly like the per-job path
-    n_solved = max(len(subs), 1)
-    for sub_index, job in enumerate(job_ids):
-        sub = subs[sub_index]
-        selected, trust, job_rounds, converged = finished[sub_index]
-        if package:
-            result = FusionResult(
-                method=spec.name,
-                selected=sub.selection_to_values(selected),
-                trust={s: float(t) for s, t in zip(sub.sources, trust)},
-                rounds=job_rounds,
-                converged=converged,
-                runtime_seconds=elapsed / n_solved,
-                extras={"batched": True},
-            )
-        else:
-            result = None
-        outcomes[job] = RestrictionOutcome(
-            sources=list(sub.sources),
-            result=result,
-            matcher=sub,
-            trust_array=trust,
-            selected_local=selected,
-            rounds=job_rounds,
-            converged=converged,
-        )
-    return outcomes  # type: ignore[return-value]
-
-
 class GoldScorer:
-    """Vectorized precision/recall of raw batched selections.
+    """Vectorized precision/recall of raw sweep selections.
 
     ``evaluate()`` walks the gold standard item by item through Python
     dicts; over a sweep that walk costs as much as the solves.  This

@@ -13,15 +13,15 @@ more than the solves.  This module is the layer in between:
   tables (items, sources, values, attribute specs, gold) in a pickle
   sidecar loaded once per worker, and fans the jobs out to a persistent
   ``ProcessPoolExecutor``.  Workers rehydrate zero-copy problem views,
-  run :func:`~repro.fusion.spec.run_fixed_point` (or the batched sweep
-  solver of :mod:`repro.fusion.batch`), and results are gathered in
+  run :func:`~repro.fusion.spec.run_fixed_point` (or the restriction
+  sweep of :mod:`repro.fusion.batch`), and results are gathered in
   deterministic plan order.  With ``workers <= 1`` — or on platforms
   without POSIX shared memory — the same job-execution code runs inline,
   so serial and parallel schedules are bit-identical by construction.
 * Job shapes cover the big consumers: plain method runs (method
-  comparisons, ensembles), source-restricted runs and *batched sweeps*
-  (Figure 9 / greedy selection; each worker chunk solves its restrictions
-  through the block-diagonal batch solver), and *raw* session steps
+  comparisons, ensembles), source-restricted runs and *sweeps*
+  (Figure 9 / greedy selection; each worker chunk compiles its
+  restrictions once and solves every method on them), and *raw* session steps
   (streaming: the worker returns trust + selected indices and the parent
   session absorbs them, keeping warm-start state authoritative in the
   parent).
@@ -107,8 +107,8 @@ class SolveJob:
     same way (:func:`repro.core.shard.shard_problem` — the worker recompiles
     the shard from the shared view, so a shard job ships only the
     :class:`~repro.core.shard.ShardSpec`); ``subsets`` turns the job into a
-    batched sweep — every call runs on every subset through
-    :func:`repro.fusion.batch.solve_restrictions`.  ``raw=True`` returns
+    sweep — every call runs on every subset through one
+    :class:`repro.fusion.batch.RestrictionSweep`.  ``raw=True`` returns
     trust/selection arrays instead of packaged results (the streaming
     protocol).  ``evaluate`` scores outcomes against the problem's
     registered gold standard inside the worker.
@@ -119,7 +119,6 @@ class SolveJob:
     sources: Optional[List[str]] = None
     shard: Optional[ShardSpec] = None
     subsets: Optional[List[List[str]]] = None
-    batched: bool = True
     raw: bool = False
     evaluate: bool = False
     return_selection: bool = True
@@ -486,7 +485,7 @@ def _execute_sweep(
             outcome.recall = 0.0
             outcome.precision = 0.0
         elif restriction.result is None:
-            # Raw batched outcome: score the selection arrays directly.
+            # Raw outcome: score the selection arrays directly.
             outcome.rounds = restriction.rounds
             outcome.converged = restriction.converged
             outcome.trust = restriction.trust_array
@@ -506,19 +505,18 @@ def _execute_sweep(
         rows[s][c] = outcome
 
     # Restrictions are compiled once and shared by every method of the
-    # sweep — batch-safe methods multiplex their rounds across the subsets,
-    # the rest solve per subset on the same compiled problems.  When the
-    # caller wants scores but no selections, batched solves stay in array
-    # form end to end (GoldScorer), never materializing per-item dicts.
-    sweep = RestrictionSweep(problem, subsets, shared_tolerances=job.batched)
-    raw = job.batched and not job.return_selection and not job.raw
+    # sweep.  When the caller wants scores but no selections, solves stay
+    # in array form end to end (GoldScorer), never materializing per-item
+    # dicts.
+    sweep = RestrictionSweep(problem, subsets)
+    raw = not job.return_selection and not job.raw
     scorer = (
         GoldScorer(problem, gold) if raw and job.evaluate and gold is not None
         else None
     )
     for c, call in enumerate(job.calls):
         method = make_method(call.method, **call.kwargs)
-        outcomes = sweep.solve(method, batched=job.batched, package=not raw)
+        outcomes = sweep.solve(method, package=not raw)
         for s, restriction in enumerate(outcomes):
             record(c, s, restriction)
     return JobOutcome(tag=job.tag, sweep=rows)
@@ -889,7 +887,6 @@ def solve_sweep(
     scheduler: Optional[SolveScheduler] = None,
     key: Optional[str] = None,
     evaluate: bool = True,
-    batched: bool = True,
     return_selection: bool = False,
     engine: Optional[str] = None,
 ) -> List[List[CallOutcome]]:
@@ -897,7 +894,7 @@ def solve_sweep(
 
     Subsets are strided across the worker chunks (a prefix sweep's small
     and large prefixes interleave, balancing the chunks) and each chunk
-    runs through the batched solver where the method allows.
+    compiles its restrictions once for all of ``calls``.
     """
     plan = _normalize_calls(calls, None, engine)
     subset_lists = [list(s) for s in subsets]
@@ -912,7 +909,7 @@ def solve_sweep(
         if not sched.parallel or len(subset_lists) < 2:
             job = SolveJob(
                 problem=key, calls=plan, subsets=subset_lists,
-                batched=batched, evaluate=evaluate,
+                evaluate=evaluate,
                 return_selection=return_selection,
             )
             return sched.run([job])[0].sweep
@@ -925,7 +922,6 @@ def solve_sweep(
                 problem=key,
                 calls=plan,
                 subsets=[subset_lists[i] for i in indices],
-                batched=batched,
                 evaluate=evaluate,
                 return_selection=return_selection,
             )

@@ -27,26 +27,16 @@ loop of ``cli serve --listen``, or the load-test publisher in the bench).
 Token auth and structured request logging are composable middleware
 (:mod:`repro.middleware`), applied outermost-first around the route
 dispatch; ``/health`` stays reachable without credentials so probes work.
-
-Like the native engine's numba fallback, a **starlette/uvicorn fast path**
-is optional: ``backend="starlette"`` builds the same routes as an ASGI app
-(:func:`create_asgi_app`) and serves it with uvicorn's C accelerators when
-both packages are importable, and otherwise degrades to the stdlib server
-with a single :class:`RuntimeWarning` per process — same behaviour, same
-endpoints, nothing else changes.
 """
 
 from __future__ import annotations
 
 import asyncio
-import importlib.util
 import json
 import threading
-import warnings
 from typing import AsyncIterator, Dict, Optional, Sequence
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.errors import FusionError
 from repro.middleware import (
     Middleware,
     Request,
@@ -62,9 +52,6 @@ __all__ = [
     "TruthServer",
     "ServerHandle",
     "run_in_thread",
-    "create_asgi_app",
-    "resolve_backend",
-    "HAVE_STARLETTE",
 ]
 
 #: Chunk granularity of the NDJSON bulk dump (items per flushed chunk).
@@ -72,40 +59,6 @@ DUMP_BATCH = 256
 #: Idle SSE subscriptions get a comment frame this often (seconds) so dead
 #: client sockets surface as write errors instead of leaking queues.
 SSE_KEEPALIVE_SECONDS = 15.0
-
-HAVE_STARLETTE = bool(
-    importlib.util.find_spec("starlette")
-    and importlib.util.find_spec("uvicorn")
-)
-
-_WARNED_BACKEND = False
-
-
-def warn_unavailable() -> None:
-    """Warn — once per process — that starlette was requested but absent."""
-    global _WARNED_BACKEND
-    if not _WARNED_BACKEND:
-        _WARNED_BACKEND = True
-        warnings.warn(
-            "starlette backend requested but starlette/uvicorn are not "
-            "installed; falling back to the stdlib asyncio server "
-            "(identical endpoints)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def resolve_backend(backend: str) -> str:
-    """Validate a backend request, degrading ``starlette`` when absent."""
-    if backend not in ("stdlib", "starlette"):
-        raise FusionError(
-            f"unknown server backend {backend!r}: expected stdlib|starlette"
-        )
-    if backend == "starlette" and not HAVE_STARLETTE:
-        warn_unavailable()
-        return "stdlib"
-    return backend
-
 
 def _snapshot_info(snap: StoreSnapshot) -> Dict[str, object]:
     return {
@@ -569,20 +522,13 @@ def run_in_thread(
     store: TruthStore,
     host: str = "127.0.0.1",
     port: int = 0,
-    *,
-    backend: str = "stdlib",
     **server_kwargs,
 ) -> ServerHandle:
     """Start a :class:`TruthServer` on a daemon thread; returns its handle.
 
     The bound port is resolved before this returns, so callers can connect
-    immediately.  ``backend="starlette"`` degrades to the stdlib server
-    with one warning when starlette/uvicorn are missing (the fast path is
-    only reachable where those packages exist — same endpoints either way).
+    immediately.
     """
-    backend = resolve_backend(backend)
-    if backend == "starlette":  # pragma: no cover - needs starlette+uvicorn
-        return _run_starlette_in_thread(store, host, port, **server_kwargs)
     started = threading.Event()
     holder: Dict[str, object] = {}
 
@@ -619,110 +565,3 @@ def run_in_thread(
     return ServerHandle(
         holder["server"], holder["loop"], thread, holder["stop_event"]
     )
-
-
-# --------------------------------------------------------------------------
-# Optional starlette/uvicorn fast path.  The ASGI app reuses the *same*
-# middleware-wrapped handler as the stdlib server, so auth, logging, routes
-# and streaming semantics are identical — uvicorn only replaces the HTTP
-# transport underneath.
-# --------------------------------------------------------------------------
-def create_asgi_app(
-    store: TruthStore,
-    *,
-    auth_token: Optional[str] = None,
-    log_stream=None,
-    middleware: Sequence[Middleware] = (),
-):  # pragma: no cover - needs starlette installed
-    """Build a Starlette app over ``store`` (raises without starlette)."""
-    if not HAVE_STARLETTE:
-        raise FusionError(
-            "create_asgi_app needs starlette and uvicorn installed; "
-            "use the stdlib TruthServer otherwise"
-        )
-    from starlette.applications import Starlette
-    from starlette.responses import Response as StarletteResponse
-    from starlette.responses import StreamingResponse
-    from starlette.routing import Route
-
-    server = TruthServer(
-        store,
-        auth_token=auth_token,
-        log_stream=log_stream,
-        middleware=middleware,
-    )
-
-    def endpoint_for(path: str):
-        async def endpoint(request):
-            server._loop = asyncio.get_running_loop()
-            ours = Request(
-                method=request.method,
-                path=path,
-                query=dict(request.query_params),
-                headers={
-                    name.lower(): value
-                    for name, value in request.headers.items()
-                },
-            )
-            response = await server._handler(ours)
-            if response.stream is not None:
-                return StreamingResponse(
-                    response.stream,
-                    status_code=response.status,
-                    headers=response.headers,
-                )
-            return StarletteResponse(
-                response.body,
-                status_code=response.status,
-                headers=response.headers,
-            )
-
-        return endpoint
-
-    routes = [
-        Route(path, endpoint_for(path), methods=["GET"])
-        for path in server._routes
-    ]
-    return Starlette(routes=routes)
-
-
-def _run_starlette_in_thread(
-    store, host, port, **server_kwargs
-):  # pragma: no cover - needs starlette+uvicorn
-    import socket
-
-    import uvicorn
-
-    app = create_asgi_app(store, **server_kwargs)
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind((host, port))
-    bound_port = sock.getsockname()[1]
-    config = uvicorn.Config(app, log_level="warning")
-    uv_server = uvicorn.Server(config)
-    thread = threading.Thread(
-        target=lambda: uv_server.run(sockets=[sock]),
-        name="truth-server-uvicorn",
-        daemon=True,
-    )
-    thread.start()
-
-    class _UvicornHandle:
-        def __init__(self):
-            self.port = bound_port
-            self.url = f"http://{host}:{bound_port}"
-
-        def broadcast(self, event, data):
-            pass  # custom events need the stdlib backend's loop bridge
-
-        def stop(self, timeout: float = 5.0):
-            uv_server.should_exit = True
-            thread.join(timeout)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            self.stop()
-
-    return _UvicornHandle()

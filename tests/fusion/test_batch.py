@@ -1,4 +1,4 @@
-"""The batched restriction solver against per-job solving."""
+"""The restriction sweep against one-shot solves of each restriction."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,18 @@ import pytest
 from repro.evaluation.metrics import evaluate
 from repro.evaluation.ordering import sources_by_recall
 from repro.fusion.base import FusionProblem
-from repro.fusion.batch import (
-    BATCH_SAFE_METHODS,
-    RestrictionSweep,
-    solve_restrictions,
-)
+from repro.fusion.batch import GoldScorer, RestrictionSweep, solve_restrictions
 from repro.fusion.registry import METHOD_NAMES, make_method
+from repro.fusion.spec import MethodSpec
 
 from tests.core.test_shard_properties import PROBLEM_ARRAYS
 from tests.helpers import build_dataset
+
+
+def _prefixes(collection):
+    order = sources_by_recall(collection.snapshot, collection.gold)
+    sizes = sorted(set(list(range(1, 8)) + [12, 20, len(order)]))
+    return [order[:size] for size in sizes]
 
 
 @pytest.fixture(scope="module")
@@ -33,49 +36,62 @@ def problem(stock):
 
 @pytest.fixture(scope="module")
 def prefixes(stock):
-    order = sources_by_recall(stock.snapshot, stock.gold)
-    sizes = sorted(set(list(range(1, 8)) + [12, 20, len(order)]))
-    return [order[:size] for size in sizes]
+    return _prefixes(stock)
 
 
-class TestBatchedEqualsPerJob:
-    @pytest.mark.parametrize("name", sorted(BATCH_SAFE_METHODS))
-    def test_batch_safe_methods_are_bit_identical(self, problem, prefixes, stock, name):
-        batched = solve_restrictions(problem, make_method(name), prefixes)
-        per_job = solve_restrictions(
-            problem, make_method(name), prefixes, batched=False
-        )
-        for b, p in zip(batched, per_job):
-            assert b.empty == p.empty
-            if b.empty:
-                continue
-            assert b.result.extras.get("batched") is True
-            assert b.result.selected == p.result.selected
-            assert b.result.rounds == p.result.rounds
-            assert b.result.converged == p.result.converged
-            assert b.sources == p.sources
-            for source in p.result.trust:
-                assert b.result.trust[source] == pytest.approx(
-                    p.result.trust[source], abs=1e-12
-                )
-            # The problem-free matcher scores exactly like the subproblem.
-            gold = stock.gold
-            assert (
-                evaluate(b.matcher, gold, b.result).recall
-                == evaluate(p.matcher, gold, p.result).recall
-            )
+@pytest.fixture(scope="module")
+def sweep(problem, prefixes):
+    return RestrictionSweep(problem, prefixes)
 
-    @pytest.mark.parametrize(
-        "name", [n for n in METHOD_NAMES if n not in BATCH_SAFE_METHODS]
-    )
-    def test_global_normalization_methods_fall_back(self, problem, prefixes, name):
-        subsets = prefixes[:3]
-        outcomes = solve_restrictions(problem, make_method(name), subsets)
-        for outcome, subset in zip(outcomes, subsets):
+
+class TestSweepEqualsOneShot:
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_every_method_is_bit_identical(self, problem, prefixes, sweep, name):
+        spec = MethodSpec.of(make_method(name))
+        packaged = sweep.solve(make_method(name))
+        raw = sweep.solve(make_method(name), package=False)
+        for subset, done, bare in zip(prefixes, packaged, raw):
             reference = make_method(name).run(problem.restrict_sources(subset))
-            assert outcome.result.extras.get("batched") is None
-            assert outcome.result.selected == reference.selected
-            assert outcome.result.rounds == reference.rounds
+            assert done.sources == bare.sources == list(reference.trust)
+            assert not done.empty and not bare.empty
+            assert bare.result is None
+            # The raw arrays package to exactly the one-shot result.
+            unpacked = spec.package(
+                bare.matcher, {"trust": bare.trust_array},
+                bare.selected_local, bare.rounds, bare.converged, 0.0,
+            )
+            for result in (done.result, unpacked):
+                assert result.selected == reference.selected, len(subset)
+                assert result.rounds == reference.rounds, len(subset)
+                assert result.converged == reference.converged, len(subset)
+                assert result.trust == reference.trust, len(subset)
+                assert result.attr_trust == reference.attr_trust, len(subset)
+
+
+class TestGoldScorer:
+    @pytest.fixture(scope="class", params=["stock", "flight"])
+    def domain(self, request):
+        from repro.experiments.context import get_context
+
+        context = get_context("tiny")
+        collection = context.collection(request.param)
+        base = context.problem(request.param)
+        return (
+            collection.gold,
+            GoldScorer(base, collection.gold),
+            RestrictionSweep(base, _prefixes(collection)),
+        )
+
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_score_equals_evaluate(self, domain, name):
+        gold, scorer, sweep = domain
+        packaged = sweep.solve(make_method(name))
+        raw = sweep.solve(make_method(name), package=False)
+        for done, bare in zip(packaged, raw):
+            expected = evaluate(done.matcher, gold, done.result)
+            assert scorer.score(bare.matcher, bare.selected_local) == (
+                expected.precision, expected.recall
+            ), len(done.sources)
 
 
 class TestPrefixDeltaCompile:
@@ -100,13 +116,10 @@ class TestPrefixDeltaCompile:
         order = ["s1", "s2", "s3", "s4", "s5", "s6"]
         return [order[:size] for size in range(2, 7)]
 
-    @pytest.mark.parametrize("shared_tolerances", [True, False])
     def test_delta_compiled_prefixes_are_bitwise_restrictions(
-        self, sparse_base, chain, shared_tolerances
+        self, sparse_base, chain
     ):
-        sweep = RestrictionSweep(
-            sparse_base, chain, shared_tolerances=shared_tolerances
-        )
+        sweep = RestrictionSweep(sparse_base, chain)
         assert sweep.delta_compiles >= len(chain) - 2
         for subset, sub in zip(chain, sweep.subs):
             reference = sparse_base.restrict_sources(subset)
@@ -117,12 +130,12 @@ class TestPrefixDeltaCompile:
             assert sub.sources == reference.sources
 
     def test_delta_compiled_prefixes_solve_like_per_job(self, sparse_base, chain):
-        batched = solve_restrictions(sparse_base, make_method("AccuSim"), chain)
-        per_job = [
+        outcomes = solve_restrictions(sparse_base, make_method("AccuSim"), chain)
+        one_shot = [
             make_method("AccuSim").run(sparse_base.restrict_sources(subset))
             for subset in chain
         ]
-        for outcome, reference in zip(batched, per_job):
+        for outcome, reference in zip(outcomes, one_shot):
             assert outcome.result.selected == reference.selected
             assert outcome.result.rounds == reference.rounds
             for source, trust in reference.trust.items():
@@ -187,23 +200,8 @@ class TestEdgeCases:
         assert outcomes[0].result.selected
         assert outcomes[1].result is None
 
-    def test_single_subset_uses_per_job_path(self, problem, prefixes):
-        (outcome,) = solve_restrictions(problem, make_method("Vote"), prefixes[:1])
-        assert outcome.result.extras.get("batched") is None
-
     def test_matcher_tolerances_are_per_restriction(self, problem, prefixes):
         outcomes = solve_restrictions(problem, make_method("Vote"), prefixes)
         for outcome, subset in zip(outcomes, prefixes):
             sub = problem.restrict_sources(subset)
             assert np.allclose(outcome.matcher._attr_tol, sub._attr_tol)
-
-    def test_compaction_preserves_stragglers(self, problem, prefixes):
-        # A method whose per-prefix round counts vary forces mid-batch
-        # compactions; outcomes must still match the per-job path exactly.
-        batched = solve_restrictions(problem, make_method("Cosine"), prefixes)
-        per_job = solve_restrictions(
-            problem, make_method("Cosine"), prefixes, batched=False
-        )
-        assert [b.result.rounds for b in batched] == [
-            p.result.rounds for p in per_job
-        ]

@@ -10,9 +10,11 @@ segments survive pool shutdown, even after a worker crash.
 import os
 import signal
 import threading
+import time
 
 import pytest
 
+from repro.evaluation.metrics import evaluate
 from repro.evaluation.ordering import recall_as_sources_added, sources_by_recall
 from repro.fusion.registry import METHOD_NAMES, make_method
 from repro.parallel import MethodCall, SolveJob, SolveScheduler, solve_methods
@@ -26,6 +28,15 @@ pytestmark = pytest.mark.skipif(
     not SolveScheduler(workers=2).parallel,
     reason="platform has no usable shared memory",
 )
+
+
+def _await_broken(pool, timeout: float = 30.0) -> None:
+    """Block until ``pool`` has registered a dead worker (bounded wait)."""
+    deadline = time.monotonic() + timeout
+    while not pool._broken:
+        if time.monotonic() > deadline:
+            pytest.fail(f"pool did not register the dead worker in {timeout}s")
+        time.sleep(0.01)
 
 
 @pytest.fixture(scope="module")
@@ -102,16 +113,17 @@ class TestParallelDeterminism:
         order = sources_by_recall(snapshot, gold)
         sizes = sorted(set(list(range(1, 8)) + [15, len(order)]))
         methods = ("Vote", "AccuSim", "Hub")
-        serial = recall_as_sources_added(
-            snapshot, gold, methods, ordering=order, prefix_sizes=sizes,
-            problem=problem, batched=False,
-        )
         parallel = recall_as_sources_added(
             snapshot, gold, methods, ordering=order, prefix_sizes=sizes,
             problem=problem, scheduler=scheduler,
         )
         for name in methods:
-            assert parallel[name].recalls == serial[name].recalls, name
+            serial = []
+            for size in sizes:
+                sub = problem.restrict_sources(order[:size])
+                result = make_method(name).run(sub)
+                serial.append(evaluate(sub, gold, result).recall)
+            assert parallel[name].recalls == serial, name
 
     def test_streaming_day_matches_serial(self, stock):
         from repro.streaming import StreamRunner
@@ -449,6 +461,9 @@ class TestSchedulerHygiene:
             assert segments
             victim = next(iter(scheduler._pool._processes))
             os.kill(victim, signal.SIGKILL)
+            # The executor notices the death on its manager thread; dispatch
+            # only once it has, or the job may still land on the survivor.
+            _await_broken(scheduler._pool)
             with pytest.raises(Exception):
                 solve_methods(problem, ["Vote"], scheduler=scheduler, key="p")
         finally:

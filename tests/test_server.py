@@ -10,11 +10,10 @@ import time
 import pytest
 
 from repro.core.records import DataItem
-from repro.errors import FusionError
 from repro.fusion.base import FusionResult
 from repro.middleware import Request, compose, json_response
 from repro.serving import TruthStore
-from repro.server import resolve_backend, run_in_thread
+from repro.server import run_in_thread
 
 N_ITEMS = 24
 
@@ -137,26 +136,6 @@ class TestEndpoints:
                 response.read()
         finally:
             conn.close()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(FusionError):
-            resolve_backend("twisted")
-
-    def test_starlette_backend_degrades_with_one_warning(self):
-        import warnings
-
-        import repro.server as server_module
-
-        if server_module.HAVE_STARLETTE:
-            pytest.skip("starlette installed: no fallback to observe")
-        server_module._WARNED_BACKEND = False
-        with pytest.warns(RuntimeWarning, match="starlette"):
-            assert resolve_backend("starlette") == "stdlib"
-        # Second resolve stays silent (warn-once contract).
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            assert resolve_backend("starlette") == "stdlib"
-        assert not records, [str(r.message) for r in records]
 
 
 class TestMiddleware:
