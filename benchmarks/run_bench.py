@@ -50,7 +50,7 @@ from repro.copying.detection import (
 )
 from repro.evaluation.ordering import recall_as_sources_added, sources_by_recall
 from repro.experiments.context import get_context
-from repro.fusion.base import FusionProblem
+from repro.fusion.base import FusionProblem, resolve_engine
 from repro.fusion.legacy import (
     LegacyFusionProblem,
     legacy_detect_copying,
@@ -587,6 +587,7 @@ def bench_engines(
         per_method[name] = entry
     return {
         "engine": engine,
+        "engine_effective": resolve_engine(engine),
         "native_available": bool(native.available()),
         "have_numba": bool(native.HAVE_NUMBA),
         "methods": per_method,
@@ -1090,6 +1091,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "scale": args.scale,
         "workers": args.workers,
         "engine": args.engine,
+        "engine_effective": resolve_engine(args.engine),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),

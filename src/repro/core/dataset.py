@@ -70,6 +70,26 @@ class Dataset:
         self._by_source[source_id][item] = claim
         self._objects.add(item.object_id)
 
+    def add_claims(self, source_id: str, claims: Dict[DataItem, Claim]) -> None:
+        """Insert one source's claims in order, as repeated ``add_claim``
+        calls would, after validating all of them up front."""
+        if self._frozen:
+            raise SchemaError("dataset is frozen")
+        if source_id not in self.sources:
+            raise SchemaError(f"unknown source {source_id!r}")
+        for attribute in dict.fromkeys(item.attribute for item in claims):
+            if attribute not in self.attributes:
+                raise SchemaError(f"unknown attribute {attribute!r}")
+        by_item = self._by_item
+        for item, claim in claims.items():
+            cell = by_item.get(item)
+            if cell is None:
+                by_item[item] = {source_id: claim}
+            else:
+                cell[source_id] = claim
+        self._by_source[source_id].update(claims)
+        self._objects.update(item.object_id for item in claims)
+
     def freeze(self) -> "Dataset":
         """Mark the snapshot immutable, enabling the derived-data caches.
 
@@ -80,6 +100,10 @@ class Dataset:
         """
         self._frozen = True
         return self
+
+    @property
+    def frozen(self) -> bool:
+        return self._frozen
 
     # ------------------------------------------------------------------ views
     @property

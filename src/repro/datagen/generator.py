@@ -81,10 +81,23 @@ def _values_equal(a: Value, b: Value) -> bool:
     return math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-9)
 
 
-@dataclass
-class _ClaimDraft:
-    value: Value
-    reason: Optional[ErrorReason]
+class _SnapshotMemo(dict):
+    """What every source of one snapshot shares.
+
+    As a dict: ``world.true_value`` memoized by ``(object, attribute,
+    day)``, so the world is asked once per key.  ``data_items`` interns the
+    data items (object -> attribute -> :class:`DataItem`), so all sources'
+    claims on one item share one key object.
+    """
+
+    def __init__(self, world: World):
+        super().__init__()
+        self.world = world
+        self.data_items: Dict[str, Dict[str, DataItem]] = {}
+
+    def __missing__(self, key: Tuple[str, str, int]) -> Value:
+        value = self[key] = self.world.true_value(*key)
+        return value
 
 
 class ClaimGenerator:
@@ -102,46 +115,91 @@ class ClaimGenerator:
         self._mix_probs = weights / weights.sum() if len(reasons) else None
 
     # ------------------------------------------------------------------ draws
-    def draw(self, object_id: str, attribute: str) -> _ClaimDraft:
-        """One independent (non-copied) claim value with its reason tag."""
-        world, profile = self.world, self.profile
-        base_day = (
-            profile.frozen_at_day if profile.frozen_at_day is not None else self.day
-        )
+    def claims(
+        self,
+        objects: Sequence[str],
+        original_claims: Dict[DataItem, Claim],
+        memo: _SnapshotMemo,
+    ) -> Dict[DataItem, Claim]:
+        """The source's claims on ``objects`` x its schema, in that order.
+
+        ``original_claims`` are the claims of the source this one copies
+        (empty for originals); ``memo`` is shared by the snapshot's sources.
+        Everything that depends only on the source or the attribute is
+        looked up once, outside the claim loop; the RNG is drawn exactly as
+        the pipeline in the module docstring says.
+        """
+        world, profile, day = self.world, self.profile, self.day
+        random = self.rng.random
         stale = profile.frozen_at_day is not None
-
-        read_object = object_id
-        reason: Optional[ErrorReason] = None
-        if object_id in profile.instance_confusions:
-            read_object = profile.instance_confusions[object_id]
-            reason = ErrorReason.INSTANCE_AMBIGUITY
-
-        variant = profile.semantic_variants.get(attribute)
-        offset = profile.basis_offsets.get(attribute)
-        if variant is not None and reason is None:
-            value = world.variant_value(read_object, attribute, base_day, variant)
-            reason = ErrorReason.SEMANTICS_AMBIGUITY
-        else:
-            value = world.true_value(read_object, attribute, base_day)
-            if offset is not None and reason is None and not isinstance(value, str):
-                value = float(value) * offset
-                reason = ErrorReason.SEMANTICS_AMBIGUITY
-
-        if stale and reason is None:
-            reason = ErrorReason.OUT_OF_DATE
-
-        if reason is None and self._mix_probs is not None and (
-            self.rng.random() < self.error_rate
-        ):
-            reason = self._mix_reasons[
-                int(self.rng.choice(len(self._mix_reasons), p=self._mix_probs))
-            ]
-            value = self._apply_error(object_id, attribute, reason, value)
-
-        truth = world.true_value(object_id, attribute, self.day)
-        if reason is not None and _values_equal(value, truth):
-            reason = None  # the mechanism happened to produce the true value
-        return _ClaimDraft(value=value, reason=reason)
+        base_day = profile.frozen_at_day if stale else day
+        copy_rate = profile.meta.copy_rate
+        copies = profile.is_copier and bool(original_claims)
+        may_err = self._mix_probs is not None
+        plan = [
+            (
+                attribute,
+                profile.semantic_variants.get(attribute),
+                profile.basis_offsets.get(attribute),
+                profile.rounding_sigfigs.get(attribute),
+            )
+            for attribute in profile.schema
+        ]
+        interned = memo.data_items
+        out: Dict[DataItem, Claim] = {}
+        for object_id in objects:
+            items = interned.get(object_id)
+            if items is None:
+                items = interned[object_id] = {}
+            alias = profile.instance_confusions.get(object_id)
+            read_object = object_id if alias is None else alias
+            confused = (
+                ErrorReason.INSTANCE_AMBIGUITY if alias is not None else None
+            )
+            for attribute, variant, offset, sigfigs in plan:
+                item = items.get(attribute)
+                if item is None:
+                    item = items[attribute] = DataItem(object_id, attribute)
+                if copies and item in original_claims and random() < copy_rate:
+                    origin = original_claims[item]
+                    out[item] = Claim(
+                        origin.value,
+                        origin.granularity,
+                        ErrorReason.COPIED if origin.reason is not None else None,
+                    )
+                    continue
+                reason = confused
+                if variant is not None and reason is None:
+                    value = world.variant_value(
+                        read_object, attribute, base_day, variant
+                    )
+                    reason = ErrorReason.SEMANTICS_AMBIGUITY
+                else:
+                    value = memo[(read_object, attribute, base_day)]
+                    if (
+                        offset is not None and reason is None
+                        and not isinstance(value, str)
+                    ):
+                        value = float(value) * offset
+                        reason = ErrorReason.SEMANTICS_AMBIGUITY
+                if stale and reason is None:
+                    reason = ErrorReason.OUT_OF_DATE
+                if reason is None and may_err and random() < self.error_rate:
+                    reason = self._mix_reasons[
+                        int(self.rng.choice(
+                            len(self._mix_reasons), p=self._mix_probs
+                        ))
+                    ]
+                    value = self._apply_error(object_id, attribute, reason, value)
+                if reason is not None and _values_equal(
+                    value, memo[(object_id, attribute, day)]
+                ):
+                    reason = None  # the mechanism happened to produce the truth
+                granularity: Optional[float] = None
+                if sigfigs is not None and not isinstance(value, str):
+                    value, granularity = _round_sigfigs(float(value), sigfigs)
+                out[item] = Claim(value, granularity, reason)
+        return out
 
     def _apply_error(
         self, object_id: str, attribute: str, reason: ErrorReason, value: Value
@@ -175,15 +233,6 @@ class ClaimGenerator:
         sign = 1.0 if self.rng.random() < 0.5 else -1.0
         return float(value) * (1.0 + sign * magnitude)
 
-    # ------------------------------------------------------------- formatting
-    def finalize(self, attribute: str, draft: _ClaimDraft) -> Claim:
-        sigfigs = self.profile.rounding_sigfigs.get(attribute)
-        value = draft.value
-        granularity: Optional[float] = None
-        if sigfigs is not None and not isinstance(value, str):
-            value, granularity = _round_sigfigs(float(value), sigfigs)
-        return Claim(value=value, granularity=granularity, reason=draft.reason)
-
 
 def _ordered_profiles(profiles: Sequence[SourceProfile]) -> List[SourceProfile]:
     """Originals before their copiers (copy chains are depth 1 in Table 5)."""
@@ -214,37 +263,19 @@ def generate_snapshot(
     for profile in profiles:
         dataset.add_source(profile.meta)
 
+    memo = _SnapshotMemo(world)
     claims_by_source: Dict[str, Dict[DataItem, Claim]] = {}
     for profile in _ordered_profiles(profiles):
         generator = ClaimGenerator(world, profile, day, seed)
-        covered = covered_objects_for(profile, world, seed)
         original_claims = (
             claims_by_source.get(profile.meta.copies_from, {})
             if profile.is_copier
             else {}
         )
-        copy_rate = profile.meta.copy_rate
-        source_claims: Dict[DataItem, Claim] = {}
-        for object_id in covered:
-            for attribute in profile.schema:
-                item = DataItem(object_id, attribute)
-                claim: Optional[Claim] = None
-                if profile.is_copier and item in original_claims:
-                    if generator.rng.random() < copy_rate:
-                        origin = original_claims[item]
-                        reason = (
-                            ErrorReason.COPIED if origin.reason is not None else None
-                        )
-                        claim = Claim(
-                            value=origin.value,
-                            granularity=origin.granularity,
-                            reason=reason,
-                        )
-                if claim is None:
-                    draft = generator.draw(object_id, attribute)
-                    claim = generator.finalize(attribute, draft)
-                source_claims[item] = claim
-                dataset.add_claim(profile.source_id, item, claim)
+        source_claims = generator.claims(
+            covered_objects_for(profile, world, seed), original_claims, memo
+        )
+        dataset.add_claims(profile.source_id, source_claims)
         claims_by_source[profile.source_id] = source_claims
     return dataset.freeze()
 

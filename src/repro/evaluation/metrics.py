@@ -14,14 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Union
 
+import numpy as np
+
 from repro.core.dataset import Dataset
-from repro.core.gold import GoldStandard
+from repro.core.gold import GoldStandard, score_selection
 from repro.core.records import DataItem
 from repro.fusion.base import FusionProblem, FusionResult
 from repro.profiling.dominance import DOMINANCE_BUCKETS, dominance_bucket
 
-#: Anything exposing ``values_match(attribute, a, b)`` — a snapshot or a
-#: compiled (possibly source-restricted) fusion problem.
+#: Anything exposing ``spec``, ``tolerance`` and ``values_match`` per
+#: attribute — a snapshot or a compiled (possibly source-restricted)
+#: fusion problem.
 DatasetLike = Union[Dataset, FusionProblem]
 
 
@@ -49,29 +52,20 @@ def evaluate(
     """Score one fusion result against the gold standard.
 
     ``dataset`` may be the snapshot or the compiled :class:`FusionProblem`
-    the result was produced from (both provide the tolerance-aware
-    ``values_match`` used for gold matching) — source-restricted problems
-    have no backing dataset.
+    the result was produced from (both provide the tolerances used for
+    gold matching) — source-restricted problems have no backing dataset.
     """
-    num_output = num_correct = 0
-    errors: List[DataItem] = []
-    for item in gold.items:
-        value = result.selected.get(item)
-        if value is None:
-            continue
-        num_output += 1
-        if gold.is_correct(dataset, item, value):
-            num_correct += 1
-        else:
-            errors.append(item)
-    num_gold = len(gold)
+    items, output, correct = score_selection(dataset, gold, result.selected)
+    num_output = int(output.sum())
+    num_correct = int(correct.sum())
+    num_gold = len(items)
     return PrecisionRecall(
         precision=num_correct / num_output if num_output else 0.0,
         recall=num_correct / num_gold if num_gold else 0.0,
         num_output=num_output,
         num_gold=num_gold,
         num_correct=num_correct,
-        errors=errors,
+        errors=[items[i] for i in np.flatnonzero(output & ~correct).tolist()],
     )
 
 
@@ -79,12 +73,8 @@ def error_items(
     dataset: DatasetLike, gold: GoldStandard, result: FusionResult
 ) -> Set[DataItem]:
     """Gold items on which the result is wrong (or missing)."""
-    wrong: Set[DataItem] = set()
-    for item in gold.items:
-        value = result.selected.get(item)
-        if value is None or not gold.is_correct(dataset, item, value):
-            wrong.add(item)
-    return wrong
+    items, _output, correct = score_selection(dataset, gold, result.selected)
+    return {items[i] for i in np.flatnonzero(~correct).tolist()}
 
 
 def precision_by_dominance(
@@ -93,16 +83,14 @@ def precision_by_dominance(
     """Figure 10: fusion precision bucketed by dominance factor."""
     correct: Dict[float, int] = {b: 0 for b in DOMINANCE_BUCKETS}
     total: Dict[float, int] = {b: 0 for b in DOMINANCE_BUCKETS}
-    for item in gold.items:
-        value = result.selected.get(item)
-        if value is None:
-            continue
-        clustering = dataset.clustering(item)
+    items, output, matched = score_selection(dataset, gold, result.selected)
+    for i in np.flatnonzero(output).tolist():
+        clustering = dataset.clustering(items[i])
         if not clustering.clusters:
             continue
         bucket = dominance_bucket(clustering.dominance_factor)
         total[bucket] += 1
-        if gold.is_correct(dataset, item, value):
+        if matched[i]:
             correct[bucket] += 1
     return {
         b: (correct[b] / total[b] if total[b] else None) for b in DOMINANCE_BUCKETS

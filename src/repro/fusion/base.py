@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.attributes import ValueKind
+from repro.core.attributes import AttributeSpec, ValueKind
 from repro.core.columnar import (
     ColumnarView,
     CompiledClusters,
@@ -305,14 +305,21 @@ class FusionProblem:
             claim_granularity=self._claim_granularity,
         )
 
+    def spec(self, attribute: str) -> AttributeSpec:
+        return self._attr_specs[self.attr_index[attribute]]
+
+    def tolerance(self, attribute: str) -> float:
+        """This problem's Equation-(3) tolerance ``tau(A)``."""
+        return float(self._attr_tol[self.attr_index[attribute]])
+
     def values_match(self, attribute: str, a: Value, b: Value) -> bool:
         """Tolerance-aware value equality under this problem's tolerances.
 
-        Restricted problems have no backing :class:`Dataset`; this mirrors
-        ``Dataset.values_match`` so evaluation can run off the problem.
+        Restricted problems have no backing :class:`Dataset`; ``spec``,
+        ``tolerance`` and this mirror the :class:`Dataset` methods so
+        evaluation can run off the problem.
         """
-        idx = self.attr_index[attribute]
-        return self._attr_specs[idx].matches(a, b, float(self._attr_tol[idx]))
+        return self.spec(attribute).matches(a, b, self.tolerance(attribute))
 
     # ----------------------------------------------------------- lazy extras
     @property

@@ -7,8 +7,8 @@ subsets).  Compiling a restriction costs about as much as solving it, so
 presorted Equation-(3) tolerance table and delta-compiling nested prefixes
 — and each method then runs one cold fixed point per compiled restriction,
 bit-identical to ``method.run(base.restrict_sources(subset))``.
-:class:`GoldScorer` scores the raw selections against the gold standard
-without packaging per-item dicts.
+:class:`~repro.core.gold.GoldScorer` (re-exported here) scores the raw
+selections against the gold standard without packaging per-item dicts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.columnar import _as_float
+from repro.core.gold import GoldScorer  # noqa: F401  (re-exported)
 from repro.errors import FusionError
 from repro.fusion.base import FusionMethod, FusionProblem, FusionResult
 from repro.fusion.spec import MethodSpec
@@ -36,7 +36,7 @@ class RestrictionOutcome:
 
     sources: List[str]
     result: Optional[FusionResult]
-    matcher: Optional[object]  # anything exposing values_match(attr, a, b)
+    matcher: Optional[object]  # the restricted problem, for gold scoring
     empty: bool = False
     trust_array: Optional[np.ndarray] = field(default=None, repr=False)
     selected_local: Optional[np.ndarray] = field(default=None, repr=False)
@@ -290,82 +290,3 @@ def _solo_outcome(
         rounds=rounds,
         converged=converged,
     )
-
-
-class GoldScorer:
-    """Vectorized precision/recall of raw sweep selections.
-
-    ``evaluate()`` walks the gold standard item by item through Python
-    dicts; over a sweep that walk costs as much as the solves.  This
-    scorer precomputes, per view item, the gold truth (object and float
-    form) and scores a raw selection array with one vectorized tolerance
-    comparison — falling back to the attribute spec's exact ``matches``
-    only for string attributes and non-convertible values, so the counts
-    are identical to ``evaluate(matcher, gold, result)``.
-    """
-
-    def __init__(self, base: FusionProblem, gold):
-        from repro.core.attributes import TIME_TOLERANCE_MINUTES, ValueKind
-
-        view = base._view
-        if view is None:
-            raise FusionError("GoldScorer requires a columnar-compiled problem")
-        self.view = view
-        self.num_gold = len(gold)
-        self.time_tolerance = TIME_TOLERANCE_MINUTES
-        self.gold_pos = np.full(len(view.items), -1, dtype=np.int64)
-        self.truth_obj: List[object] = []
-        for code, item in enumerate(view.items):
-            truth = gold.values.get(item)
-            if truth is not None:
-                self.gold_pos[code] = len(self.truth_obj)
-                self.truth_obj.append(truth)
-        self.truth_float = np.asarray([
-            _as_float(truth) for truth in self.truth_obj
-        ], dtype=np.float64)
-        self.is_string = np.asarray(
-            [spec.kind is ValueKind.STRING for spec in view.attr_specs], dtype=bool
-        )
-        self.is_time = np.asarray(
-            [spec.kind is ValueKind.TIME for spec in view.attr_specs], dtype=bool
-        )
-
-    def score(
-        self, sub: FusionProblem, selected_local: np.ndarray
-    ) -> Tuple[float, float]:
-        """``(precision, recall)`` of a raw selection on a restriction."""
-        view = self.view
-        codes = sub._item_index
-        gold_slot = self.gold_pos[codes]
-        rows = np.flatnonzero(gold_slot >= 0)
-        if not len(rows):
-            return 0.0, 0.0
-        slot = gold_slot[rows]
-        value_codes = sub._cluster_value_code[selected_local[rows]]
-        attr = view.item_attr[codes[rows]]
-        provided = view.value_numeric[value_codes]
-        truth = self.truth_float[slot]
-        both_numeric = ~np.isnan(provided) & ~np.isnan(truth)
-        vectorized = both_numeric & ~self.is_string[attr]
-        correct = np.zeros(len(rows), dtype=bool)
-        time_rows = vectorized & self.is_time[attr]
-        correct[time_rows] = (
-            np.abs(provided - truth)[time_rows] <= self.time_tolerance
-        )
-        numeric_rows = vectorized & ~self.is_time[attr]
-        correct[numeric_rows] = (
-            np.abs(provided - truth)[numeric_rows]
-            <= sub._attr_tol[attr][numeric_rows]
-        )
-        for i in np.flatnonzero(~vectorized):
-            spec = view.attr_specs[attr[i]]
-            correct[i] = spec.matches(
-                view.values[value_codes[i]],
-                self.truth_obj[slot[i]],
-                float(sub._attr_tol[attr[i]]),
-            )
-        n_correct = int(correct.sum())
-        return (
-            n_correct / len(rows),
-            n_correct / self.num_gold if self.num_gold else 0.0,
-        )

@@ -23,7 +23,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.dataset import Dataset
-from repro.core.gold import GoldStandard
+from repro.core.gold import GoldStandard, claim_scores
 from repro.fusion.base import FusionProblem, FusionResult
 
 
@@ -37,37 +37,28 @@ class TrustDiagnostics:
 
 def sampled_accuracy(dataset: Dataset, gold: GoldStandard) -> Dict[str, float]:
     """Per-source accuracy on the gold standard (the ACCU-family sample)."""
-    sample: Dict[str, float] = {}
-    for source_id in dataset.source_ids:
-        claims = dataset.claims_by(source_id)
-        total = correct = 0
-        for item, claim in claims.items():
-            if item not in gold:
-                continue
-            total += 1
-            if gold.is_correct(dataset, item, claim.value):
-                correct += 1
-        if total:
-            sample[source_id] = correct / total
-    return sample
+    scores = claim_scores(dataset, gold)
+    return {
+        s: correct / total
+        for s, correct, total in zip(
+            scores.view.sources, scores.n_correct, scores.n_gold
+        )
+        if total
+    }
 
 
 def _gold_counts(dataset: Dataset, gold: GoldStandard) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for source_id in dataset.source_ids:
-        claims = dataset.claims_by(source_id)
-        counts[source_id] = sum(1 for item in claims if item in gold)
-    return counts
+    scores = claim_scores(dataset, gold)
+    return dict(zip(scores.view.sources, scores.n_gold))
 
 
 def sampled_vote_mass(dataset: Dataset, gold: GoldStandard) -> Dict[str, float]:
     """HUB-style sample: correct-claim count, normalized by the maximum."""
-    raw: Dict[str, float] = {}
-    for source_id, accuracy in sampled_accuracy(dataset, gold).items():
-        count = sum(
-            1 for item in dataset.claims_by(source_id) if item in gold
-        )
-        raw[source_id] = accuracy * count
+    counts = _gold_counts(dataset, gold)
+    raw = {
+        s: accuracy * counts[s]
+        for s, accuracy in sampled_accuracy(dataset, gold).items()
+    }
     peak = max(raw.values(), default=0.0)
     if peak <= 0:
         return raw
@@ -94,23 +85,25 @@ def sampled_cosine(dataset: Dataset, gold: GoldStandard) -> Dict[str, float]:
     the claimed value, -1 elsewhere; the truth vector is +1 on the gold value
     and -1 elsewhere.
     """
-    sample: Dict[str, float] = {}
-    for source_id in dataset.source_ids:
-        dot = 0.0
-        norm_positions = 0
-        for item, claim in dataset.claims_by(source_id).items():
-            if item not in gold:
-                continue
-            clustering = dataset.clustering(item)
-            k = clustering.num_values
-            norm_positions += k
-            if gold.is_correct(dataset, item, claim.value):
-                dot += k
-            else:
-                dot += k - 4  # claimed and gold positions both disagree
-        if norm_positions:
-            sample[source_id] = dot / norm_positions
-    return sample
+    scores = claim_scores(dataset, gold)
+    view = scores.view
+    rows = np.flatnonzero(scores.gold_slot >= 0)
+    slots = scores.gold_slot[rows]
+    items = gold.columns().items
+    k = np.zeros(len(items), dtype=np.int64)
+    for slot in np.unique(slots).tolist():
+        k[slot] = dataset.clustering(items[slot]).num_values
+    positions = k[slots]
+    # claimed and gold positions both disagree on a wrong claim
+    agreement = positions - 4 * ~scores.correct[rows]
+    sources = view.claim_source[rows]
+    norm = np.bincount(sources, weights=positions, minlength=view.n_sources)
+    dot = np.bincount(sources, weights=agreement, minlength=view.n_sources)
+    return {
+        s: d / n
+        for s, d, n in zip(view.sources, dot.tolist(), norm.tolist())
+        if n
+    }
 
 
 #: Method name -> sampling function.

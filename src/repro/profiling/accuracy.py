@@ -12,7 +12,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.dataset import Dataset, DatasetSeries
-from repro.core.gold import GoldStandard, accuracy_of_source, coverage_of_source
+from repro.core.gold import (
+    GoldStandard,
+    accuracy_of_source,
+    coverage_of_source,
+    score_selection,
+)
 
 
 @dataclass
@@ -160,13 +165,12 @@ def dominant_precision_over_time(
     result: Dict[str, float] = {}
     for snapshot in series:
         gold = gold_by_day[snapshot.day]
-        correct = total = 0
+        dominant = {}
         for item in gold.items:
             clustering = snapshot.clustering(item)
-            if not clustering.clusters:
-                continue
-            total += 1
-            if gold.is_correct(snapshot, item, clustering.dominant.representative):
-                correct += 1
-        result[snapshot.day] = correct / total if total else 0.0
+            if clustering.clusters:
+                dominant[item] = clustering.dominant.representative
+        _items, _output, correct = score_selection(snapshot, gold, dominant)
+        total = len(dominant)
+        result[snapshot.day] = int(correct.sum()) / total if total else 0.0
     return result

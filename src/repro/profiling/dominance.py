@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dataset import Dataset
-from repro.core.gold import GoldStandard
+from repro.core.gold import GoldStandard, score_selection
 from repro.core.records import DataItem
 
 #: Bucket centers of Figure 7 (dominance factor 0.1 ... 0.9).
@@ -75,20 +75,23 @@ def dominance_profile(
 ) -> DominanceProfile:
     """Compute Figure 7's inputs; precision buckets need a gold standard."""
     factors: Dict[DataItem, float] = {}
-    precision: Dict[float, List[int]] = {}
+    dominant: Dict[DataItem, object] = {}
     for item in dataset.items:
         clustering = dataset.clustering(item)
         if not clustering.clusters:
             continue
-        factor = clustering.dominance_factor
-        factors[item] = factor
-        if gold is None or item not in gold:
-            continue
-        bucket = dominance_bucket(factor)
-        cell = precision.setdefault(bucket, [0, 0])
-        cell[1] += 1
-        if gold.is_correct(dataset, item, clustering.dominant.representative):
-            cell[0] += 1
+        factors[item] = clustering.dominance_factor
+        if gold is not None and item in gold:
+            dominant[item] = clustering.dominant.representative
+    precision: Dict[float, List[int]] = {}
+    if dominant:
+        items, _output, correct = score_selection(dataset, gold, dominant)
+        matched = dict(zip(items, correct.tolist()))
+        for item in dominant:
+            cell = precision.setdefault(dominance_bucket(factors[item]), [0, 0])
+            cell[1] += 1
+            if matched[item]:
+                cell[0] += 1
     return DominanceProfile(
         factors=factors,
         precision_by_bucket={b: (c, t) for b, (c, t) in precision.items()},
@@ -104,15 +107,14 @@ def top_k_value_precision(
     ~0.1, the first / second / third dominant values have precision
     .43/.33/.12.  Returns (precision, #items considered).
     """
-    correct = total = 0
+    candidates: Dict[DataItem, object] = {}
     for item in gold.items:
         clustering = dataset.clustering(item)
         if not clustering.clusters or clustering.dominance_factor > max_factor:
             continue
         if len(clustering.clusters) < k:
             continue
-        total += 1
-        candidate = clustering.clusters[k - 1].representative
-        if gold.is_correct(dataset, item, candidate):
-            correct += 1
-    return (correct / total if total else 0.0), total
+        candidates[item] = clustering.clusters[k - 1].representative
+    total = len(candidates)
+    _items, _output, correct = score_selection(dataset, gold, candidates)
+    return (int(correct.sum()) / total if total else 0.0), total

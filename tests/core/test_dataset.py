@@ -1,5 +1,6 @@
 """Dataset construction, views, tolerance caching, and source filtering."""
 
+import numpy as np
 import pytest
 
 from repro.core.attributes import AttributeSpec, AttributeTable, ValueKind
@@ -158,3 +159,94 @@ class TestDatasetSeries:
     def test_empty_series_error(self):
         with pytest.raises(SchemaError, match="series is empty"):
             DatasetSeries(domain="test").snapshot("d1")
+
+
+class TestBulkClaimInsert:
+    """``add_claims`` behaves exactly like repeated ``add_claim`` calls."""
+
+    @staticmethod
+    def _empty():
+        table = AttributeTable.from_specs([
+            AttributeSpec("price"), AttributeSpec("gate", ValueKind.STRING),
+        ])
+        ds = Dataset(domain="t", day="d", attributes=table)
+        for source_id in ("s1", "s2", "s3"):
+            ds.add_source(SourceMeta(source_id))
+        return ds
+
+    #: Per source, in insertion order; items overlap across sources and s2
+    #: provides an item nobody else does, between shared ones.
+    _CLAIMS = {
+        "s2": [("o2", "price", 20.0), ("o9", "gate", "A1"), ("o1", "price", 10.0)],
+        "s1": [("o1", "price", 10.5), ("o1", "gate", "B2"), ("o2", "price", 21.0)],
+        "s3": [("o3", "price", 30.0), ("o1", "price", 10.0)],
+    }
+
+    def _pair(self):
+        one, bulk = self._empty(), self._empty()
+        for source_id, rows in self._CLAIMS.items():
+            claims = {DataItem(o, a): Claim(v) for o, a, v in rows}
+            for item, claim in claims.items():
+                one.add_claim(source_id, item, claim)
+            bulk.add_claims(source_id, claims)
+        return one, bulk
+
+    def test_same_dict_order(self):
+        one, bulk = self._pair()
+        assert list(one._by_item) == list(bulk._by_item)
+        for item, claims in one._by_item.items():
+            assert list(claims.items()) == list(bulk._by_item[item].items())
+        assert list(one._by_source) == list(bulk._by_source)
+        for source_id, claims in one._by_source.items():
+            assert list(claims.items()) == list(bulk._by_source[source_id].items())
+        assert one.objects == bulk.objects
+
+    def test_same_columnar_view(self):
+        one, bulk = (ds.freeze() for ds in self._pair())
+        a, b = one.columnar, bulk.columnar
+        for name in ("items", "sources", "attr_names", "values"):
+            assert getattr(a, name) == getattr(b, name), name
+        for name in (
+            "item_attr", "item_start", "claim_item", "claim_source",
+            "claim_value", "claim_numeric", "claim_granularity",
+            "value_numeric", "value_str_rank",
+        ):
+            assert np.array_equal(
+                getattr(a, name), getattr(b, name), equal_nan=True
+            ), name
+
+    @staticmethod
+    def _errors(source_id, item, frozen=False):
+        raised = []
+        for insert in (
+            lambda ds: ds.add_claim(source_id, item, Claim(1.0)),
+            lambda ds: ds.add_claims(source_id, {item: Claim(1.0)}),
+        ):
+            ds = TestBulkClaimInsert._empty()
+            if frozen:
+                ds.freeze()
+            with pytest.raises(SchemaError) as info:
+                insert(ds)
+            raised.append(str(info.value))
+        return raised
+
+    def test_frozen_rejected_alike(self):
+        single, bulk = self._errors("s1", DataItem("o", "price"), frozen=True)
+        assert single == bulk == "dataset is frozen"
+
+    def test_unknown_source_rejected_alike(self):
+        single, bulk = self._errors("ghost", DataItem("o", "price"))
+        assert single == bulk
+
+    def test_unknown_attribute_rejected_alike(self):
+        single, bulk = self._errors("s1", DataItem("o", "volume"))
+        assert single == bulk
+
+    def test_invalid_batch_inserts_nothing(self):
+        ds = self._empty()
+        with pytest.raises(SchemaError):
+            ds.add_claims("s1", {
+                DataItem("o1", "price"): Claim(1.0),
+                DataItem("o1", "volume"): Claim(2.0),
+            })
+        assert ds.num_claims == 0 and not ds.objects

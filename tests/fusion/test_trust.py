@@ -91,3 +91,43 @@ class TestDiagnostics:
         result = FusionResult(method="x", selected={}, trust={"a": 0.9})
         diag = trust_diagnostics(result, {"zzz": 0.1})
         assert diag.deviation == 0.0
+
+
+class TestSamplersEqualScalarWalk:
+    """The columnar samplers equal the per-claim gold walk they replaced."""
+
+    @staticmethod
+    def _scalar(dataset, gold):
+        accuracy, counts, cosine = {}, {}, {}
+        for source_id in dataset.source_ids:
+            total = correct = positions = 0
+            dot = 0.0
+            for item, claim in dataset.claims_by(source_id).items():
+                if item not in gold:
+                    continue
+                k = dataset.clustering(item).num_values
+                total += 1
+                positions += k
+                if gold.is_correct(dataset, item, claim.value):
+                    correct += 1
+                    dot += k
+                else:
+                    dot += k - 4
+            counts[source_id] = total
+            if total:
+                accuracy[source_id] = correct / total
+                cosine[source_id] = dot / positions
+        mass = {s: a * counts[s] for s, a in accuracy.items()}
+        peak = max(mass.values())
+        return accuracy, {s: v / peak for s, v in mass.items()}, cosine
+
+    @pytest.mark.parametrize("domain", ["stock", "flight"])
+    def test_every_tiny_snapshot(self, domain, stock_collection, flight_collection):
+        collection = {"stock": stock_collection, "flight": flight_collection}[domain]
+        for snapshot in collection.series:
+            gold = collection.gold_for(snapshot.day)
+            accuracy, mass, cosine = self._scalar(snapshot, gold)
+            assert sampled_accuracy(snapshot, gold) == accuracy
+            assert list(sampled_accuracy(snapshot, gold)) == list(accuracy)
+            assert sampled_vote_mass(snapshot, gold) == mass
+            assert sampled_cosine(snapshot, gold) == cosine
