@@ -41,10 +41,12 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.errors import StalePublishError, ValueParseError
 from repro.evaluation.metrics import evaluate
 from repro.fusion.base import FusionProblem
 from repro.fusion.registry import METHOD_NAMES
 from repro.io import (
+    ClaimsDayReader,
     read_claims_csv,
     read_gold_csv,
     write_claims_csv,
@@ -163,7 +165,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         runner.close()
 
 
+def _read_day(reader: ClaimsDayReader, path: Path):
+    """The day's snapshot or delta; ``None`` (with a warning) if malformed."""
+    try:
+        return reader.read(path)
+    except ValueParseError as error:
+        print(f"warning: skipping {path.name}: {error}", file=sys.stderr)
+        return None
+
+
 def _stream_loop(args, directory, methods, runner, output_dir) -> int:
+    reader = ClaimsDayReader()
     seen = set()
     idle_polls = 0
     while True:
@@ -189,8 +201,10 @@ def _stream_loop(args, directory, methods, runner, output_dir) -> int:
                     file=sys.stderr,
                 )
             seen.add(path.name)
-            dataset = read_claims_csv(path)
-            step = runner.push(dataset)
+            day = _read_day(reader, path)
+            if day is None:
+                continue
+            step = reader.push(day, runner)
             stats = step.stats
             for name, result in step.results.items():
                 print(
@@ -257,7 +271,6 @@ def _listen_wait(args: argparse.Namespace) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import StalePublishError
     from repro.serving import TruthService, TruthStore
 
     listen = None
@@ -308,9 +321,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         if source.is_dir():
             # Incremental serve: every daily CSV becomes the next store
-            # version.  With --shards K each day is diff-compiled by K
-            # per-shard series compilers (sharded streaming straight into
-            # the persisted store).
+            # version.  After the first, each file is diffed against the
+            # last consumed one and applied as a claim delta.  With
+            # --shards K each day is diff-compiled by K per-shard series
+            # compilers (sharded streaming straight into the persisted
+            # store).
             paths = sorted(source.glob("*.csv"))
             if not paths:
                 print(f"no claim CSVs found in {source}", file=sys.stderr)
@@ -323,9 +338,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 shards=args.shards,
                 cross_shard=cross_shard,
             ) as service:
+                reader = ClaimsDayReader()
                 for path in paths:
+                    day = _read_day(reader, path)
+                    if day is None:
+                        continue
+                    step = reader.push(day, service.runner)
                     try:
-                        version = service.ingest(read_claims_csv(path))
+                        version = store.publish_step(step)
                     except StalePublishError as error:
                         print(
                             f"warning: skipping {path.name}: {error}",
@@ -334,7 +354,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         continue
                     store.save(args.store)
                     if handle is not None:
-                        step = service.runner.steps[-1]
                         handle.broadcast("day", {
                             "day": step.day,
                             "version": version,

@@ -1,5 +1,7 @@
 """CSV/JSON round trips for datasets, gold standards, fusion results."""
 
+import re
+
 import pytest
 
 from repro.core.records import DataItem
@@ -73,6 +75,30 @@ class TestClaimsRoundTrip:
         path = tmp_path / "junk.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueParseError):
+            read_claims_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("s9,o9,price", "line 13: claim row has 3 fields, expected 5"),
+            ("s9,o9,price,f:1.0,abc", "line 13: bad granularity 'abc'"),
+            ("s9,o9,price,1.0,", "line 13: untagged value payload '1.0'"),
+            ("s1,o1,price,f:3.0,", "line 13: second claim by 's1' on ('o1', 'price')"),
+            ("", None),  # blank rows are skipped
+        ],
+    )
+    def test_malformed_claim_row_names_file_and_line(
+        self, tmp_path, dataset, row, message
+    ):
+        path = tmp_path / "claims.csv"
+        write_claims_csv(dataset, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 12  # header, 4 #attribute, 2 #source, 1 + 4 claims
+        path.write_text("\n".join(lines + [row]) + "\n")
+        if message is None:
+            assert read_claims_csv(path).num_claims == dataset.num_claims
+            return
+        with pytest.raises(ValueParseError, match=re.escape("claims.csv, " + message)):
             read_claims_csv(path)
 
     def test_string_value_that_looks_numeric(self, tmp_path):
