@@ -629,20 +629,20 @@ def bench_profile(
 
 
 def bench_sharding(scale: str, workers: int) -> Dict[str, object]:
-    """Sharded corpus compilation + the truth-serving read path.
+    """Sharding one snapshot as a one-day stream + the truth-serving read path.
 
     A wide large-corpus Stock snapshot (``StockConfig.large_corpus``) is
-    partitioned by object key into K shards.  For each K the scenario times
-    the **exact** path (per-shard compiles merged back into the global
-    problem, methods solved once — cross-checked bit-identical to the
-    unsharded baseline) and the **independent** path (every shard compiled
-    and solved on its own, serially and across ``workers`` processes).  The
-    exact K=4 results are then published into a :class:`TruthStore` and
-    point lookups / ensemble reads are timed for query p50/p99.
+    ingested by ``TruthService(shards=K)`` — the path ``cli serve FILE
+    --shards K`` runs.  For each K the scenario times the **exact** mode
+    (per-shard compiles spliced back into the global problem, methods
+    solved once — cross-checked bit-identical to the unsharded baseline)
+    and the **independent** mode (every shard compiled and solved on its
+    own, serially and across ``workers`` processes).  Point lookups and
+    ensemble reads are then timed against the largest exact K's store for
+    query p50/p99.
     """
-    from repro.core.shard import ShardedCorpus, ShardPlan
     from repro.datagen import StockConfig, generate_stock_collection
-    from repro.serving import TruthStore
+    from repro.serving import TruthService
 
     collection = generate_stock_collection(
         StockConfig.large_corpus(n_objects=SHARD_OBJECTS[scale])
@@ -657,79 +657,37 @@ def bench_sharding(scale: str, workers: int) -> Dict[str, object]:
     }
     baseline_s = time.perf_counter() - started
 
-    # ---- parent-side setup for an independent-mode plan: what the parent
-    # pays before any worker can start.  Old path: build the view, assign
-    # shards, and compile the monolithic base problem just to ship its
-    # arrays.  New path: the same view build + assignment, then export the
-    # raw view (plus assignment codes) — no compile anywhere.  Both paths
-    # start from a cold dataset cache so the view build is actually timed.
-    from repro.core.shard import ShardedCorpus as _SC
-    from repro.parallel import SolveScheduler as _Sched
-
-    _clear_dataset_caches(snapshot)
-    started = time.perf_counter()
-    _SC(snapshot, max(SHARD_COUNTS), cross_shard="independent").base_problem()
-    monolithic_setup_s = time.perf_counter() - started
-
-    _clear_dataset_caches(snapshot)
-    started = time.perf_counter()
-    setup_corpus = _SC(snapshot, max(SHARD_COUNTS), cross_shard="independent")
-    view = setup_corpus.view
-    codes = setup_corpus.item_codes
-    view_build_s = time.perf_counter() - started
-    with _Sched(workers=2) as sched:
-        export_measured = sched.parallel
-        started = time.perf_counter()
-        if sched.parallel:
-            sched.register_view(
-                None, view, shard_codes=codes,
-                n_shards=setup_corpus.n_shards, assign=setup_corpus.assign,
-            )
-        view_export_s = time.perf_counter() - started
-    parent_setup = {
-        "monolithic_compile_s": monolithic_setup_s,
-        "view_build_s": view_build_s,
-        "view_export_s": view_export_s,
-        # Informational, never CI-gated: this ratio compares two *different*
-        # operations (a compile vs a view build + shm export), so it moves
-        # with the runner's allocator/tmpfs speed, not with code changes.
-        "speedup": monolithic_setup_s / max(view_build_s + view_export_s, 1e-9),
-        # Without POSIX shared memory the export leg cannot run; the ratio
-        # then measures compile vs view build only.
-        "export_measured": export_measured,
-    }
-    snapshot.columnar  # rewarm: the K sweep below measures solves, not views
+    def ingest(k: int, cross_shard: str, service_workers: int = 0):
+        with TruthService(
+            methods, workers=service_workers, shards=k, cross_shard=cross_shard
+        ) as service:
+            started = time.perf_counter()
+            service.ingest(snapshot)
+            seconds = time.perf_counter() - started
+        return service, seconds
 
     counts: Dict[str, object] = {}
-    store = TruthStore()
-    last_exact = None
+    store = None
     for k in SHARD_COUNTS:
         entry: Dict[str, object] = {}
 
-        started = time.perf_counter()
-        corpus = ShardedCorpus(snapshot, k, cross_shard="exact")
-        exact = ShardPlan(corpus, methods).run()
-        entry["exact_s"] = time.perf_counter() - started
+        exact, entry["exact_s"] = ingest(k, "exact")
+        step = exact.runner.steps[-1]
         entry["exact_equal"] = all(
-            exact.results[name].selected == baseline[name].selected
-            and exact.results[name].trust == baseline[name].trust
+            step.results[name].selected == baseline[name].selected
+            and step.results[name].trust == baseline[name].trust
             for name in methods
         )
+        store = exact.store
 
-        started = time.perf_counter()
-        approx = ShardedCorpus(snapshot, k, cross_shard="independent")
-        ShardPlan(approx, methods).run()
-        entry["independent_serial_s"] = time.perf_counter() - started
-        entry["live_shards"] = len(approx.shards)
+        approx, entry["independent_serial_s"] = ingest(k, "independent")
+        shard_results = approx.runner.steps[-1].shard_results
+        entry["live_shards"] = len(shard_results) if shard_results else 1
         if workers > 1 and k > 1:
-            approx_p = ShardedCorpus(snapshot, k, cross_shard="independent")
-            approx_p.base_problem()  # compile outside the timed region
-            started = time.perf_counter()
-            ShardPlan(approx_p, methods).run(workers=workers)
-            entry["independent_parallel_s"] = time.perf_counter() - started
+            _, entry["independent_parallel_s"] = ingest(
+                k, "independent", workers
+            )
         counts[str(k)] = entry
-        last_exact = exact
-    store.publish_plan(last_exact)
 
     # ------------------------------------------------------------- queries
     rng = np.random.default_rng(23)
@@ -756,7 +714,6 @@ def bench_sharding(scale: str, workers: int) -> Dict[str, object]:
         "n_items": baseline_problem.n_items,
         "n_claims": baseline_problem.n_claims,
         "unsharded_solve_s": baseline_s,
-        "parent_setup": parent_setup,
         "by_shard_count": counts,
         "queries": {
             "n": len(lookup_times),
@@ -993,15 +950,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(f"[bench] sharding @ {args.scale} ...", flush=True)
     sharding = bench_sharding(args.scale, args.workers)
     k_max = str(max(SHARD_COUNTS))
-    setup = sharding["parent_setup"]
     print(
         f"[bench] sharding: K={k_max} exact"
         f" {sharding['by_shard_count'][k_max]['exact_s']:.2f}s"
         f" (equal: {sharding['by_shard_count'][k_max]['exact_equal']}),"
         f" unsharded {sharding['unsharded_solve_s']:.2f}s,"
-        f" parent setup {setup['monolithic_compile_s']:.3f}s compile ->"
-        f" {setup['view_build_s'] + setup['view_export_s']:.3f}s view"
-        f" (x{setup['speedup']:.1f}),"
         f" query p99 {sharding['queries']['lookup']['p99_us']:.0f}us",
         flush=True,
     )

@@ -16,12 +16,12 @@ Usage::
 round-trip can be exercised without private data.  ``stream`` tails a
 directory of daily claim CSVs (one snapshot per file, processed in sorted
 filename order) through warm fusion sessions, emitting each day's
-selections and trust as it lands.  ``serve`` fuses a claims CSV (optionally
-sharded by object across worker processes) — or streams a directory of
-daily CSVs through warm sessions — into a versioned
-:class:`~repro.serving.TruthStore` JSON file; ``query`` answers point
-lookups, ensemble answers, and trust reads from that file without
-re-solving anything.
+selections and trust as it lands.  ``serve`` streams a directory of daily
+CSVs through warm sessions (optionally sharded by object key) into a
+versioned :class:`~repro.serving.TruthStore` JSON file, one version per
+day; a single claims CSV is served as a one-day directory.  ``query``
+answers point lookups, ensemble answers, and trust reads from that file
+without re-solving anything.
 
 With ``--listen [HOST:]PORT`` ``serve`` additionally exposes the store over
 HTTP (:mod:`repro.server`): point lookups, trust reads, ensemble answers,
@@ -91,7 +91,11 @@ def _cmd_methods(_args: argparse.Namespace) -> int:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     from repro.parallel import solve_methods
 
-    dataset = read_claims_csv(args.claims)
+    try:
+        dataset = read_claims_csv(args.claims)
+    except ValueParseError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(
         f"loaded {dataset.num_claims} claims from {dataset.num_sources} sources "
         f"({dataset.num_items} items)",
@@ -220,7 +224,13 @@ def _stream_loop(args, directory, methods, runner, output_dir) -> int:
                     write_result_json(result, out)
                     print(f"wrote {out}", file=sys.stderr)
     if not runner.steps:
-        print(f"no claim CSVs found in {directory}", file=sys.stderr)
+        if seen:
+            print(
+                f"no claims day in {directory} could be served",
+                file=sys.stderr,
+            )
+        else:
+            print(f"no claim CSVs found in {directory}", file=sys.stderr)
         return 1
     print(
         f"streamed {len(runner.steps)} day(s) x {len(methods)} method(s)",
@@ -313,100 +323,70 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cross_shard = _sharding_mode(args)
     if cross_shard is None:
         return 2
+    if source.is_dir():
+        paths = sorted(source.glob("*.csv"))
+        if not paths:
+            print(f"no claim CSVs found in {source}", file=sys.stderr)
+            return 1
+    elif source.is_file():
+        paths = [source]  # a snapshot is a one-day stream
+    else:
+        print(
+            f"{source} is neither a claims CSV nor a directory",
+            file=sys.stderr,
+        )
+        return 2
     # Live listeners get a monotonic store: the publish loop is exactly
     # where a delayed re-publish of an older day would otherwise silently
     # overwrite a newer snapshot under concurrent readers.
     store = TruthStore(monotonic_days=listen is not None)
     handle = _start_listener(args, listen, store) if listen else None
     try:
-        if source.is_dir():
-            # Incremental serve: every daily CSV becomes the next store
-            # version.  After the first, each file is diffed against the
-            # last consumed one and applied as a claim delta.  With
-            # --shards K each day is diff-compiled by K per-shard series
-            # compilers (sharded streaming straight into the persisted
-            # store).
-            paths = sorted(source.glob("*.csv"))
-            if not paths:
-                print(f"no claim CSVs found in {source}", file=sys.stderr)
-                return 1
-            with TruthService(
-                methods,
-                {name: dict(kwargs) for name in methods} if kwargs else None,
-                workers=args.workers,
-                store=store,
-                shards=args.shards,
-                cross_shard=cross_shard,
-            ) as service:
-                reader = ClaimsDayReader()
-                for path in paths:
-                    day = _read_day(reader, path)
-                    if day is None:
-                        continue
-                    step = reader.push(day, service.runner)
-                    try:
-                        version = store.publish_step(step)
-                    except StalePublishError as error:
-                        print(
-                            f"warning: skipping {path.name}: {error}",
-                            file=sys.stderr,
-                        )
-                        continue
-                    store.save(args.store)
-                    if handle is not None:
-                        handle.broadcast("day", {
-                            "day": step.day,
-                            "version": version,
-                            "compile_s": round(step.compile_seconds, 4),
-                            "rounds": {
-                                name: result.rounds
-                                for name, result in step.results.items()
-                            },
-                        })
+        # Every daily CSV becomes the next store version.  After the first,
+        # each file is diffed against the last consumed one and applied as
+        # a claim delta.  With --shards K each day is compiled by K
+        # per-shard series compilers.
+        with TruthService(
+            methods,
+            {name: dict(kwargs) for name in methods} if kwargs else None,
+            workers=args.workers,
+            store=store,
+            shards=args.shards,
+            cross_shard=cross_shard,
+        ) as service:
+            reader = ClaimsDayReader()
+            for path in paths:
+                day = _read_day(reader, path)
+                if day is None:
+                    continue
+                step = reader.push(day, service.runner)
+                try:
+                    version = store.publish_step(step)
+                except StalePublishError as error:
                     print(
-                        f"{store.day}: version {version}, "
-                        f"{store.n_items} items -> {args.store}",
+                        f"warning: skipping {path.name}: {error}",
                         file=sys.stderr,
                     )
-        elif source.is_file():
-            dataset = read_claims_csv(source)
-            if args.shards > 1:
-                from repro.core.shard import ShardedCorpus, ShardPlan
-
-                corpus = ShardedCorpus(
-                    dataset,
-                    args.shards,
-                    cross_shard=cross_shard,
+                    continue
+                store.save(args.store)
+                if handle is not None:
+                    handle.broadcast("day", {
+                        "day": step.day,
+                        "version": version,
+                        "compile_s": round(step.compile_seconds, 4),
+                        "rounds": {
+                            name: result.rounds
+                            for name, result in step.results.items()
+                        },
+                    })
+                print(
+                    f"{store.day}: version {version}, "
+                    f"{store.n_items} items -> {args.store}",
+                    file=sys.stderr,
                 )
-                plan = ShardPlan(
-                    corpus, methods, {name: dict(kwargs) for name in methods}
-                )
-                store.publish_plan(plan.run(workers=args.workers))
-            else:
-                from repro.parallel import solve_methods
-
-                outcomes = solve_methods(
-                    FusionProblem(dataset),
-                    methods,
-                    workers=args.workers,
-                    method_kwargs={name: dict(kwargs) for name in methods},
-                )
-                store.publish(
-                    dataset.day,
-                    {name: o.result for name, o in zip(methods, outcomes)},
-                )
-            store.save(args.store)
-            print(
-                f"{store.day}: version {store.version}, {store.n_items} items, "
-                f"methods: {', '.join(store.methods)} -> {args.store}",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"{source} is neither a claims CSV nor a directory",
-                file=sys.stderr,
-            )
-            return 2
+        if store.version == 0:
+            print(f"no claims day in {source} could be served", file=sys.stderr)
+            return 1
         if handle is not None:
             _listen_wait(args)
     finally:
@@ -555,9 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", default="truth_store.json",
                        help="output store path (default: truth_store.json)")
     serve.add_argument("--shards", type=int, default=1,
-                       help="shard the corpus (CSV input) or the stream "
-                            "(directory / --stream input) by object key "
-                            "into K shards (default 1)")
+                       help="shard each day by object key across K "
+                            "per-shard series compilers (default 1)")
     serve.add_argument("--approximate", action="store_true",
                        help="solve shards independently (shard-local trust "
                             "and tolerances) instead of the exact merge")

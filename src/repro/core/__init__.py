@@ -22,16 +22,6 @@ from repro.core.gold import (
     coverage_of_source,
     recall_of_source,
 )
-from repro.core.shard import (
-    ShardedCorpus,
-    ShardPlan,
-    ShardPlanResult,
-    ShardSpec,
-    pack_shard_codes,
-    shard_of_object,
-    shard_problem,
-    shard_problem_from_view,
-)
 from repro.core.records import (
     Claim,
     DataItem,
@@ -61,14 +51,6 @@ __all__ = [
     "DayStats",
     "SeriesCompiler",
     "splice_compiled",
-    "ShardedCorpus",
-    "ShardPlan",
-    "ShardPlanResult",
-    "ShardSpec",
-    "pack_shard_codes",
-    "shard_of_object",
-    "shard_problem",
-    "shard_problem_from_view",
     "GoldStandard",
     "accuracy_of_source",
     "build_gold_standard",

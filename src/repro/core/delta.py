@@ -290,7 +290,7 @@ def concat_compiled(parts: List[CompiledClusters]) -> CompiledClusters:
     chaining N-1 pairwise splices that rebuild the accumulated result each
     time.  Because each item's segment is copied verbatim from its part,
     the result equals a monolithic compile of the union exactly (the shard
-    property suite pins it bitwise through ``ShardedCorpus.merged_compiled``).
+    property suite pins it bitwise through the exact sharded stream's merge).
     """
     parts = [part for part in parts if len(part.item_index)]
     if not parts:

@@ -12,14 +12,11 @@ Workers rehydrate zero-copy read-only views over the same physical pages.
 Ownership contract: the *creator* of a :class:`SharedArrayBundle` is
 responsible for ``unlink()``; attachers only ``close()``.
 
-:class:`ViewBundle` is the **view-only export**: it packs a raw
-:class:`~repro.core.columnar.ColumnarView` — the claim columns plus the
-interned value tables — into one segment *without* compiling a
-:class:`~repro.fusion.base.FusionProblem` first.  Independent-mode shard
-plans ship this instead of a compiled problem, so the parent pays O(view
-build) where it used to pay a full monolithic compile; each worker carves
-and compiles only its own shard from the shared pages
-(:func:`repro.core.shard.shard_problem_from_view`).
+:class:`ViewBundle` is the one export shape: the raw
+:class:`~repro.core.columnar.ColumnarView` columns plus whatever compiled
+arrays the exporter adds in the same segment.  The parallel engine adds a
+problem's compiled arrays (:func:`repro.parallel._export_problem`) and
+workers rebuild the view with :meth:`ViewBundle.rebuild_view`.
 """
 
 from __future__ import annotations
@@ -153,13 +150,12 @@ def view_arrays(view) -> Dict[str, np.ndarray]:
 
 
 class ViewBundle(SharedArrayBundle):
-    """A raw columnar view in shared memory — no compiled problem attached.
+    """A columnar view in shared memory, plus the exporter's ``extras``.
 
-    ``extras`` lets the exporter ride small derived arrays along in the same
-    segment (the object→shard assignment codes, precomputed Equation-3
-    tolerances).  The Python object tables (items, sources, interned values,
+    ``extras`` ride along in the same segment (a problem export's compiled
+    arrays).  The Python object tables (items, sources, interned values,
     attribute specs) are *not* arrays and travel in the exporter's pickle
-    sidecar, exactly like a problem export's.
+    sidecar.
     """
 
     @classmethod

@@ -26,8 +26,8 @@ more than the solves.  This module is the layer in between:
   session absorbs them, keeping warm-start state authoritative in the
   parent).
 
-Everything future scale work schedules onto lives here: sharding a corpus
-is a plan of restricted jobs; serving is a plan of raw steps.
+Everything future scale work schedules onto lives here: serving, sharded
+or not, is a plan of raw steps.
 """
 
 from __future__ import annotations
@@ -42,23 +42,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.columnar import ColumnarView, CompiledClusters, compute_tolerances
+from repro.core.columnar import ColumnarView, CompiledClusters
 from repro.core.gold import GoldStandard
-from repro.core.shard import (
-    ShardSpec,
-    _cached_item_codes,
-    pack_shard_codes,
-    shard_problem,
-    shard_problem_from_view,
-)
 from repro.core.shm import (
     AttachedBundle,
     BundleDescriptor,
-    SharedArrayBundle,
     ViewBundle,
     shared_memory_available,
 )
-from repro.errors import ConfigError, FusionError
+from repro.errors import FusionError
 from repro.fusion.base import FusionProblem, FusionResult
 from repro.fusion.batch import RestrictionOutcome
 from repro.fusion.registry import make_method
@@ -103,11 +95,8 @@ class SolveJob:
     """One schedulable unit: method calls against one registered problem.
 
     ``sources`` restricts the problem (the worker carves the restriction
-    from the shared view); ``shard`` carves an object-sharded sub-corpus the
-    same way (:func:`repro.core.shard.shard_problem` — the worker recompiles
-    the shard from the shared view, so a shard job ships only the
-    :class:`~repro.core.shard.ShardSpec`); ``subsets`` turns the job into a
-    sweep — every call runs on every subset through one
+    from the shared view); ``subsets`` turns the job into a sweep — every
+    call runs on every subset through one
     :class:`repro.fusion.batch.RestrictionSweep`.  ``raw=True`` returns
     trust/selection arrays instead of packaged results (the streaming
     protocol).  ``evaluate`` scores outcomes against the problem's
@@ -117,7 +106,6 @@ class SolveJob:
     problem: str
     calls: List[MethodCall]
     sources: Optional[List[str]] = None
-    shard: Optional[ShardSpec] = None
     subsets: Optional[List[List[str]]] = None
     raw: bool = False
     evaluate: bool = False
@@ -167,41 +155,45 @@ class ProblemDescriptor:
     has_copy: bool
 
 
-@dataclass(frozen=True)
-class ViewDescriptor:
-    """A view-only registration: raw columns, no compiled problem.
+def _export_view(
+    view: ColumnarView,
+    gold: Optional[GoldStandard],
+    tmpdir: str,
+    key: str,
+    generation: int,
+    extras: Dict[str, np.ndarray],
+    tables: Dict[str, object],
+) -> Tuple[ViewBundle, str]:
+    """Pack the view columns plus ``extras`` into one shared segment.
 
-    ``shard_meta`` records the ``(n_shards, assign)`` the shipped
-    ``shard_codes`` array was computed for; a job whose :class:`ShardSpec`
-    matches indexes the shared array, anything else re-derives the
-    assignment (memoized per worker).  Precomputed global Equation-(3)
-    tolerances, when exported, ride in the bundle as ``attr_tol``.
+    The object tables (items, sources, values, attribute specs, gold, plus
+    ``tables``) go to a pickle sidecar; returns the bundle and its path.
     """
-
-    key: str
-    generation: int
-    bundle: BundleDescriptor
-    sidecar: str
-    shard_meta: Optional[Tuple[int, str]] = None
+    bundle = ViewBundle.create_from_view(view, extras)
+    sidecar = os.path.join(tmpdir, f"{key}.{generation}.pkl".replace(os.sep, "_"))
+    payload = {
+        "items": view.items,
+        "sources": view.sources,
+        "attr_names": view.attr_names,
+        "attr_specs": view.attr_specs,
+        "values": view.values,
+        "gold": (gold.domain, dict(gold.values)) if gold is not None else None,
+        **tables,
+    }
+    with open(sidecar, "wb") as handle:
+        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    return bundle, sidecar
 
 
 def _export_problem(
     problem: FusionProblem, gold: Optional[GoldStandard], tmpdir: str,
     key: str, generation: int, with_copy: bool,
-) -> Tuple[SharedArrayBundle, ProblemDescriptor]:
+) -> Tuple[ViewBundle, ProblemDescriptor]:
+    """Export the problem's view, then its compiled arrays in the same segment."""
     view = problem._view
     if view is None:
         raise FusionError("only columnar-compiled problems can be exported")
     arrays: Dict[str, np.ndarray] = {
-        "v_item_attr": view.item_attr,
-        "v_item_start": view.item_start,
-        "v_claim_item": view.claim_item,
-        "v_claim_source": view.claim_source,
-        "v_claim_value": view.claim_value,
-        "v_claim_numeric": view.claim_numeric,
-        "v_claim_granularity": view.claim_granularity,
-        "v_value_numeric": view.value_numeric,
-        "v_value_str_rank": view.value_str_rank,
         "attr_tol": problem._attr_tol,
         "source_codes": problem._source_codes,
         "p_item_index": problem._item_index,
@@ -223,20 +215,10 @@ def _export_problem(
         arrays["copy_same"] = np.asarray(structures.same, dtype=np.float64)
         arrays["copy_shared"] = np.asarray(structures.shared, dtype=np.float64)
         has_copy = True
-    bundle = SharedArrayBundle.create(arrays)
-
-    sidecar = os.path.join(tmpdir, f"{key}.{generation}.pkl".replace(os.sep, "_"))
-    payload = {
-        "items": view.items,
-        "sources": view.sources,
-        "attr_names": view.attr_names,
-        "attr_specs": view.attr_specs,
-        "values": view.values,
-        "problem_sources": list(problem.sources),
-        "gold": (gold.domain, dict(gold.values)) if gold is not None else None,
-    }
-    with open(sidecar, "wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    bundle, sidecar = _export_view(
+        view, gold, tmpdir, key, generation, arrays,
+        {"problem_sources": list(problem.sources)},
+    )
     descriptor = ProblemDescriptor(
         key=key,
         generation=generation,
@@ -248,91 +230,6 @@ def _export_problem(
     return bundle, descriptor
 
 
-def _export_view(
-    view: ColumnarView,
-    gold: Optional[GoldStandard],
-    tmpdir: str,
-    key: str,
-    generation: int,
-    shard_codes: Optional[np.ndarray],
-    shard_meta: Optional[Tuple[int, str]],
-    attr_tol: Optional[np.ndarray],
-) -> Tuple[ViewBundle, ViewDescriptor]:
-    extras: Dict[str, np.ndarray] = {}
-    if shard_codes is not None:
-        extras["shard_codes"] = pack_shard_codes(np.asarray(shard_codes))
-    if attr_tol is not None:
-        extras["attr_tol"] = np.asarray(attr_tol, dtype=np.float64)
-    bundle = ViewBundle.create_from_view(view, extras)
-    sidecar = os.path.join(tmpdir, f"{key}.{generation}.pkl".replace(os.sep, "_"))
-    payload = {
-        "items": view.items,
-        "sources": view.sources,
-        "attr_names": view.attr_names,
-        "attr_specs": view.attr_specs,
-        "values": view.values,
-        "gold": (gold.domain, dict(gold.values)) if gold is not None else None,
-    }
-    with open(sidecar, "wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    descriptor = ViewDescriptor(
-        key=key,
-        generation=generation,
-        bundle=bundle.descriptor,
-        sidecar=sidecar,
-        shard_meta=shard_meta if shard_codes is not None else None,
-    )
-    return bundle, descriptor
-
-
-class _AttachedView:
-    """Worker-side rehydrated view plus a memo of the shards carved from it."""
-
-    def __init__(self, descriptor: ViewDescriptor):
-        self.generation = descriptor.generation
-        self.bundle = AttachedBundle(descriptor.bundle)
-        with open(descriptor.sidecar, "rb") as handle:
-            payload = pickle.load(handle)
-        self.view = ViewBundle.rebuild_view(self.bundle, payload)
-        self.shard_meta = descriptor.shard_meta
-        self.shard_codes = self.bundle.get("shard_codes")
-        self.attr_tol = self.bundle.get("attr_tol")
-        self.shards: Dict[ShardSpec, FusionProblem] = {}
-        self.gold: Optional[GoldStandard] = None
-        if payload["gold"] is not None:
-            domain, values = payload["gold"]
-            self.gold = GoldStandard(domain=domain, values=values)
-
-    def shard_problem(self, spec: ShardSpec) -> FusionProblem:
-        problem = self.shards.get(spec)
-        if problem is None:
-            if (
-                self.shard_codes is not None
-                and self.shard_meta == (spec.n_shards, spec.assign)
-            ):
-                codes = self.shard_codes
-            else:
-                # Re-derive the assignment once per (K, assign), not per
-                # spec: the memo lives on this attached-view entry.
-                codes = _cached_item_codes(
-                    self, self.view, spec.n_shards, spec.assign
-                )
-            attr_tol = self.attr_tol
-            if attr_tol is None and spec.tolerance_scope == "global":
-                # Global medians are spec-independent; compute them once.
-                attr_tol = self.attr_tol = compute_tolerances(self.view)
-            problem = shard_problem_from_view(
-                self.view, spec, codes=codes, attr_tol=attr_tol
-            )
-            self.shards[spec] = problem
-        return problem
-
-    def close(self) -> None:
-        self.view = None
-        self.shards = {}
-        self.bundle.close()
-
-
 class _AttachedProblem:
     """Worker-side rehydrated problem plus the bundle keeping it alive."""
 
@@ -342,22 +239,7 @@ class _AttachedProblem:
         with open(descriptor.sidecar, "rb") as handle:
             payload = pickle.load(handle)
         arr = self.bundle.arrays
-        view = ColumnarView(
-            items=payload["items"],
-            sources=payload["sources"],
-            attr_names=payload["attr_names"],
-            attr_specs=payload["attr_specs"],
-            item_attr=arr["v_item_attr"],
-            item_start=arr["v_item_start"],
-            claim_item=arr["v_claim_item"],
-            claim_source=arr["v_claim_source"],
-            claim_value=arr["v_claim_value"],
-            claim_numeric=arr["v_claim_numeric"],
-            claim_granularity=arr["v_claim_granularity"],
-            values=payload["values"],
-            value_numeric=arr["v_value_numeric"],
-            value_str_rank=arr["v_value_str_rank"],
-        )
+        view = ViewBundle.rebuild_view(self.bundle, payload)
         item_index = arr["p_item_index"]
         compiled = CompiledClusters(
             item_index=item_index,
@@ -391,27 +273,17 @@ class _AttachedProblem:
         self.bundle.close()
 
 
-#: Per-worker cache of attached problems/views, keyed by registration key.
-_WORKER_PROBLEMS: Dict[str, object] = {}
+#: Per-worker cache of attached problems, keyed by registration key.
+_WORKER_PROBLEMS: Dict[str, _AttachedProblem] = {}
 
 
-def _worker_execute(descriptor, job: SolveJob) -> JobOutcome:
-    wants_view = isinstance(descriptor, ViewDescriptor)
+def _worker_execute(descriptor: ProblemDescriptor, job: SolveJob) -> JobOutcome:
     entry = _WORKER_PROBLEMS.get(descriptor.key)
-    if (
-        entry is None
-        or entry.generation != descriptor.generation
-        or isinstance(entry, _AttachedView) != wants_view
-    ):
+    if entry is None or entry.generation != descriptor.generation:
         if entry is not None:
             entry.close()
-        entry = (
-            _AttachedView(descriptor) if wants_view
-            else _AttachedProblem(descriptor)
-        )
+        entry = _AttachedProblem(descriptor)
         _WORKER_PROBLEMS[descriptor.key] = entry
-    if wants_view:
-        return _execute_view_job(entry, job)
     return _execute_job(entry.problem, entry.gold, job)
 
 
@@ -522,31 +394,10 @@ def _execute_sweep(
     return JobOutcome(tag=job.tag, sweep=rows)
 
 
-def _execute_view_job(entry, job: SolveJob) -> JobOutcome:
-    """Run a job against a view-only registration (worker or serial inline).
-
-    View registrations carry no compiled problem, so only shard jobs make
-    sense against them — the shard compile *is* the point.  The carved
-    problem then runs through the ordinary job executor (sweeps and source
-    restrictions compose within the shard).
-    """
-    import dataclasses
-
-    if job.shard is None:
-        raise FusionError(
-            "view-only registrations require shard jobs "
-            "(register the compiled problem for unsharded solves)"
-        )
-    target = entry.shard_problem(job.shard)
-    return _execute_job(target, entry.gold, dataclasses.replace(job, shard=None))
-
-
 def _execute_job(
     problem: FusionProblem, gold: Optional[GoldStandard], job: SolveJob
 ) -> JobOutcome:
     target = problem
-    if job.shard is not None:
-        target = shard_problem(target, job.shard)
     if job.subsets is not None:
         return _execute_sweep(target, gold, job)
     if job.sources is not None:
@@ -566,27 +417,12 @@ def _execute_job(
 # The scheduler
 # --------------------------------------------------------------------------
 
-class _LocalView:
-    """Serial-mode twin of :class:`_AttachedView` (same carve-and-memo code)."""
-
-    def __init__(self, view, gold, shard_codes, shard_meta, attr_tol):
-        self.view = view
-        self.gold = gold
-        self.shard_codes = shard_codes
-        self.shard_meta = shard_meta
-        self.attr_tol = attr_tol
-        self.shards: Dict[ShardSpec, FusionProblem] = {}
-
-    shard_problem = _AttachedView.shard_problem
-
-
 class _Registration:
-    def __init__(self, problem, gold, bundle=None, descriptor=None, view=None):
+    def __init__(self, problem, gold):
         self.problem = problem
         self.gold = gold
-        self.bundle = bundle
-        self.descriptor = descriptor
-        self.view = view  # a _LocalView for serial view-only registrations
+        self.bundle = None
+        self.descriptor = None
         self.exported_gold = False
 
 
@@ -692,77 +528,6 @@ class SolveScheduler:
         self._reexport(key, registration, with_copy, previous=existing)
         return key
 
-    def register_view(
-        self,
-        key: Optional[str],
-        view: ColumnarView,
-        gold: Optional[GoldStandard] = None,
-        shard_codes: Optional[np.ndarray] = None,
-        n_shards: Optional[int] = None,
-        assign: str = "hash",
-        attr_tol: Optional[np.ndarray] = None,
-    ) -> str:
-        """Publish a raw columnar view under ``key`` — the compile-free export.
-
-        Unlike :meth:`register`, nothing is compiled parent-side: the view
-        columns (plus the object→shard assignment ``shard_codes`` computed
-        for ``(n_shards, assign)``, and optional precomputed global
-        tolerances) ship as-is, and workers compile only the shards their
-        jobs name (:func:`repro.core.shard.shard_problem_from_view`).
-        Re-registering the same view object under the same key is free;
-        supplying a gold standard, assignment codes, or tolerances the
-        existing registration lacks upgrades it (re-exporting in place),
-        mirroring :meth:`register`.
-        """
-        if key is None:
-            key = f"v{id(view):x}"
-        if shard_codes is not None and n_shards is None:
-            raise ConfigError(
-                "register_view needs n_shards alongside shard_codes "
-                "(workers match codes by (n_shards, assign))"
-            )
-        shard_meta = (int(n_shards), assign) if n_shards is not None else None
-        existing = self._registrations.get(key)
-        if (
-            existing is not None
-            and existing.view is not None
-            and existing.view.view is view
-        ):
-            previous = existing.view
-            upgrades = (
-                (gold is not None and previous.gold is None)
-                or (shard_codes is not None and previous.shard_meta != shard_meta)
-                or (attr_tol is not None and previous.attr_tol is None)
-            )
-            if not upgrades:
-                return key
-            # Merge what the existing registration already carried and fall
-            # through to a fresh export.
-            gold = gold if gold is not None else previous.gold
-            if shard_codes is None:
-                shard_codes, shard_meta = previous.shard_codes, previous.shard_meta
-            attr_tol = attr_tol if attr_tol is not None else previous.attr_tol
-        local = _LocalView(view, gold, shard_codes, shard_meta, attr_tol)
-        registration = _Registration(None, gold, view=local)
-        self._registrations[key] = registration
-        if not self._parallel:
-            return key
-        if self._tmpdir is None:
-            self._tmpdir = tempfile.mkdtemp(prefix="repro-sched-")
-        generation = (
-            existing.descriptor.generation + 1
-            if existing is not None and existing.descriptor is not None
-            else 0
-        )
-        if existing is not None and existing.bundle is not None:
-            existing.bundle.close()
-            existing.bundle.unlink()
-        registration.bundle, registration.descriptor = _export_view(
-            view, gold, self._tmpdir, key, generation,
-            shard_codes, shard_meta, attr_tol,
-        )
-        return key
-
     def _reexport(self, key, registration, with_copy, previous=None):
         if self._tmpdir is None:
             self._tmpdir = tempfile.mkdtemp(prefix="repro-sched-")
@@ -796,12 +561,9 @@ class SolveScheduler:
             outcomes = []
             for job in jobs:
                 registration = self._registrations[job.problem]
-                if registration.view is not None:
-                    outcomes.append(_execute_view_job(registration.view, job))
-                else:
-                    outcomes.append(
-                        _execute_job(registration.problem, registration.gold, job)
-                    )
+                outcomes.append(
+                    _execute_job(registration.problem, registration.gold, job)
+                )
             return outcomes
         pool = self._ensure_pool()
         futures = [

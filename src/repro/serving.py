@@ -12,12 +12,11 @@ module is the read path:
   version.  Queries are point lookups by ``(object, attribute)`` (per
   method or the store's default), per-source trust reads, and
   method-ensemble answers (majority vote across the published methods).
-  Publishing accepts a plain ``{method: FusionResult}`` mapping, a
+  Publishing accepts a plain ``{method: FusionResult}`` mapping or a
   :class:`~repro.streaming.StreamStep` (the incremental path: each
   :class:`~repro.streaming.StreamRunner` day is delta-compiled by the
-  series compiler and republished here), or the per-shard results of a
-  :class:`~repro.core.shard.ShardPlan` — independent shards partition the
-  items, and their per-source trust merges by claim-weighted mean.
+  series compiler and republished here; a sharded runner has already
+  merged its shards into one result per method).
 * :class:`TruthService` — glue that owns a :class:`StreamRunner` and a
   store: ``ingest(dataset)`` / ``apply(delta)`` advance the runner's warm
   sessions one day and publish the day's results as the next store version.
@@ -58,10 +57,8 @@ def merge_shard_trust(
     ``weights[i][source]`` is shard ``i``'s evidence mass for the source
     (claim counts); without weights every shard's estimate counts equally.
     A source no shard has evidence for falls back to the plain mean of its
-    estimates.  The single implementation behind both
-    :meth:`TruthStore.publish_shards` and the independent-mode sharded
-    stream merge (:class:`repro.streaming.StreamRunner`), so the two paths
-    cannot drift apart.
+    estimates.  The independent-mode sharded stream
+    (:class:`repro.streaming.StreamRunner`) merges its shards' trust with it.
     """
     if weights is not None and len(weights) < len(trusts):
         raise FusionError(
@@ -305,68 +302,9 @@ class TruthStore:
             trust[method] = dict(result.trust)
         return self._swap(day, methods, truths, trust)
 
-    def publish_shards(
-        self,
-        day: Optional[str],
-        shard_results: Sequence[Dict[str, object]],
-        source_weights: Optional[Sequence[Dict[str, float]]] = None,
-    ) -> int:
-        """Merge per-shard ``{method: FusionResult}`` dicts into one version.
-
-        Shards partition the items, so their truths union disjointly.  Per
-        -source trust is merged by weighted mean across the shards —
-        ``source_weights[i][source]`` is the shard's evidence mass for the
-        source (claim counts from :class:`~repro.core.shard.ShardedCorpus`);
-        without weights every shard's estimate counts equally.
-        """
-        if not shard_results:
-            raise FusionError("publish_shards needs at least one shard")
-        methods = list(shard_results[0])
-        # Validate the full cross-product up front: a shard missing a method
-        # (partial shard failure) must fail the publish cleanly before any
-        # state is assembled, not as a bare KeyError halfway through.
-        for index, results in enumerate(shard_results):
-            for method in methods:
-                if method not in results:
-                    raise FusionError(
-                        f"shard {index} is missing method {method!r}: every "
-                        "shard must carry the same methods "
-                        f"(shard 0 published {methods!r}); refusing the "
-                        "partial publish"
-                    )
-            for method in results:
-                if method not in methods:
-                    raise FusionError(
-                        f"shard {index} carries extra method {method!r} "
-                        f"absent from shard 0 ({methods!r}); refusing the "
-                        "inconsistent publish"
-                    )
-        truths: Dict[ItemKey, Dict[str, Value]] = {}
-        trust: Dict[str, Dict[str, float]] = {}
-        for method in methods:
-            for results in shard_results:
-                for item, value in results[method].selected.items():
-                    key = (item.object_id, item.attribute)
-                    truths.setdefault(key, {})[method] = value
-            trust[method] = merge_shard_trust(
-                [results[method].trust for results in shard_results],
-                source_weights,
-            )
-        return self._swap(day, methods, truths, trust)
-
     def publish_step(self, step) -> int:
         """Publish one :class:`~repro.streaming.StreamStep` (incremental path)."""
         return self.publish(step.day, step.results)
-
-    def publish_plan(self, plan_result) -> int:
-        """Publish a :class:`~repro.core.shard.ShardPlanResult` (either mode)."""
-        if plan_result.mode == "exact":
-            return self.publish(plan_result.day, plan_result.results)
-        return self.publish_shards(
-            plan_result.day,
-            plan_result.shard_results,
-            source_weights=plan_result.source_weights,
-        )
 
     # -------------------------------------------------------------- persist
     def save(self, path: PathLike) -> None:
@@ -443,6 +381,8 @@ class TruthService:
     per-method sessions, optional worker pool) feeds one
     :class:`TruthStore`: every ingested day becomes the next store version,
     so reads stay consistent while the solve of the following day runs.
+    One snapshot is a one-day stream: ``TruthService(methods,
+    shards=K).ingest(dataset)`` shards and serves a single corpus.
     """
 
     def __init__(

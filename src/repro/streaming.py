@@ -13,8 +13,7 @@ either way each step returns the per-method :class:`FusionResult` plus the
 day's compilation statistics.
 
 **Sharded streaming** (``StreamRunner(shards=K)``) splits the stream by
-object key (the stable crc32 hash :func:`repro.core.shard.shard_of_object`,
-the same assignment :class:`~repro.core.shard.ShardedCorpus` uses) across K
+object key (the stable crc32 hash :func:`shard_of_object`) across K
 per-shard :class:`SeriesCompiler`\\ s, so each day's diff, store insert, and
 re-bucketing runs over 1/K of the corpus.  ``cross_shard="exact"`` computes
 the day's Equation-(3) medians globally (two-phase compile:
@@ -25,13 +24,16 @@ trust match the unsharded runner exactly.  ``cross_shard="independent"``
 keeps every shard local (its own medians, trust, copy evidence): per-shard
 sessions solve K smaller problems (fanned across workers when enabled) and
 each day's per-method results merge by disjoint-item union with
-claim-weighted mean trust, exactly like
-:meth:`repro.serving.TruthStore.publish_shards`.
+claim-weighted mean trust (:func:`repro.serving.merge_shard_trust`).
+
+A single snapshot is a one-day stream: one corpus is sharded by
+``StreamRunner(shards=K).push(dataset)``.
 """
 
 from __future__ import annotations
 
 import time
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,11 +49,15 @@ from repro.core.delta import (
     concat_compiled,
 )
 from repro.core.records import DataItem, Value
-from repro.core.shard import shard_of_object
 from repro.errors import ConfigError, FusionError
 from repro.fusion.base import FusionResult
 from repro.fusion.registry import make_method
 from repro.fusion.spec import FusionSession
+
+
+def shard_of_object(object_id: str, n_shards: int) -> int:
+    """Stable hash shard of one object key (crc32, process-independent)."""
+    return zlib.crc32(object_id.encode("utf-8")) % n_shards
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,7 @@ class ShardedStreamCompiler:
     def _split_snapshot(self, dataset: Dataset) -> List["_ShardSlice"]:
         """Slice one snapshot's columnar view into K per-shard views.
 
-        One hash per distinct *object* (``item_shard_codes``) plus numpy
+        One memoized hash per distinct *object* plus numpy
         masks over the claim columns — no per-claim Python loop, no
         re-built claim dicts.  Every slice keeps the **full source
         universe** (same list object, dataset order), so all K compilers

@@ -12,8 +12,7 @@ from repro.errors import SchemaError
 from repro.fusion.base import FusionProblem
 from repro.fusion.registry import make_method
 
-from tests.core.test_shard_properties import claim_tables, value_for
-from tests.helpers import build_dataset
+from tests.helpers import build_dataset, claim_tables, value_for
 
 METHODS = ("Vote", "AccuSim", "2-Estimates", "TruthFinder")
 

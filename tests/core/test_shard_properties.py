@@ -1,15 +1,15 @@
-"""Property-based invariants of the sharding layer (and its exact merge).
+"""Property-based invariants of sharding a snapshot as a one-day stream.
 
-Random small worlds drive the two hard guarantees:
+Random small worlds drive the two hard guarantees of
+:class:`~repro.streaming.ShardedStreamCompiler` on a single day:
 
-* the per-shard compilations of a :class:`ShardedCorpus` in exact mode
-  merge back **bit for bit** into the monolithic compile, for any shard
-  count and either assignment mode;
-* a K=1 shard — and the exact K-shard plan — solves every one of the
-  sixteen registered methods identically to the unsharded path.
+* in exact mode the per-shard compilations merge back **bit for bit** into
+  the monolithic compile of the snapshot, for any shard count;
+* the K=1 series compile, and the exact K-shard service, solve every one
+  of the sixteen registered methods identically to the unsharded path.
 
-The strategies here (``claim_tables``, ``value_for``) are shared with the
-delta-compiler properties in ``tests/core/test_delta.py``.
+The stream interns values in its own order, so value codes are compared
+after decoding them through each problem's own value table.
 """
 
 import numpy as np
@@ -17,86 +17,81 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.shard import ShardedCorpus, ShardPlan, shard_problem
-from repro.errors import ConfigError, FusionError
+from repro.core.delta import SeriesCompiler
+from repro.errors import ConfigError
 from repro.fusion.base import FusionProblem
 from repro.fusion.registry import METHOD_NAMES, make_method
-
-from tests.helpers import build_dataset
-
-SOURCES = ("s1", "s2", "s3", "s4")
-OBJECTS = ("o1", "o2", "o3", "o4", "o5")
-ATTRS = ("price", "volume", "gate")
-NUMERIC_VALUES = (1.0, 2.0, 5.0, 9.5, 10.0, 10.25, 11.0, 77.0, 100.0)
-STRING_VALUES = ("A1", "A2", "B7", "C3")
-
-#: The arrays whose bitwise equality pins two problems as interchangeable.
-PROBLEM_ARRAYS = (
-    "item_start", "cluster_item", "cluster_support", "claim_source",
-    "claim_cluster", "_cluster_value_code", "_claim_value_code",
-    "_item_index", "_attr_tol", "_claim_granularity",
+from repro.parallel import solve_methods
+from repro.serving import TruthService, TruthStore
+from repro.streaming import (
+    ShardedStreamCompiler,
+    StreamRunner,
+    shard_of_object,
 )
 
+from tests.helpers import PROBLEM_ARRAYS, build_dataset, claim_tables
 
-def value_for(attribute: str, pick: int):
-    """Map a hypothesis integer onto a type-correct value for an attribute."""
-    if attribute == "gate":
-        return STRING_VALUES[pick % len(STRING_VALUES)]
-    return NUMERIC_VALUES[pick % len(NUMERIC_VALUES)]
+VALUE_CODES = ("_cluster_value_code", "_claim_value_code")
 
 
-def claim_tables(min_size: int = 2, max_size: int = 30):
-    """Random ``{(source, object, attribute): value}`` claim tables."""
-    cell = st.tuples(
-        st.sampled_from(SOURCES),
-        st.sampled_from(OBJECTS),
-        st.sampled_from(ATTRS),
-    )
-    return st.dictionaries(
-        cell, st.integers(0, 100), min_size=min_size, max_size=max_size
-    ).map(
-        lambda picks: {
-            cell: value_for(cell[2], pick) for cell, pick in picks.items()
-        }
-    )
+def one_day_problem(dataset, n_shards: int) -> FusionProblem:
+    """The exact K-shard one-day stream's problem (K=1: the series compile)."""
+    if n_shards == 1:
+        return SeriesCompiler().ingest(dataset).problem()
+    return ShardedStreamCompiler(n_shards, "exact").ingest(dataset).problem()
 
 
-def assert_problems_bitwise_equal(a: FusionProblem, b: FusionProblem) -> None:
+def assert_same_structure(ours: FusionProblem, base: FusionProblem) -> None:
     for name in PROBLEM_ARRAYS:
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.items == b.items
-    assert a.sources == b.sources
+        if name in VALUE_CODES:
+            continue
+        assert np.array_equal(getattr(ours, name), getattr(base, name)), name
+    for name in VALUE_CODES:
+        decoded = [ours._view.values[c] for c in getattr(ours, name).tolist()]
+        expected = [base._view.values[c] for c in getattr(base, name).tolist()]
+        assert decoded == expected, name
+    assert ours.items == base.items
+    assert ours.sources == base.sources
 
 
-class TestShardMergeProperties:
-    @given(
-        table=claim_tables(),
-        n_shards=st.integers(1, 4),
-        assign=st.sampled_from(("hash", "contiguous")),
-    )
+def unsharded_store(dataset, methods) -> TruthStore:
+    outcomes = solve_methods(FusionProblem(dataset), methods)
+    store = TruthStore()
+    store.publish(dataset.day, {n: o.result for n, o in zip(methods, outcomes)})
+    return store
+
+
+def snapshot_of(store: TruthStore):
+    snap = store.snapshot()
+    return snap.day, snap.methods, snap.truths, snap.trust
+
+
+class TestOneDayShardProperties:
+    @given(table=claim_tables(), n_shards=st.integers(1, 4))
     @settings(
-        max_examples=30, deadline=None,
+        max_examples=40, deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_merged_problem_is_bitwise_the_unsharded_compile(
-        self, table, n_shards, assign
+    def test_exact_one_day_stream_is_the_unsharded_compile(
+        self, table, n_shards
     ):
         dataset = build_dataset(table)
-        base = FusionProblem(dataset)
-        corpus = ShardedCorpus(dataset, n_shards, assign=assign)
-        assert_problems_bitwise_equal(corpus.merged_problem(), base)
+        assert_same_structure(
+            one_day_problem(dataset, n_shards), FusionProblem(dataset)
+        )
 
     @given(table=claim_tables(), n_shards=st.integers(2, 4))
     @settings(
         max_examples=20, deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_shards_partition_the_items(self, table, n_shards):
+    def test_independent_shards_partition_the_items(self, table, n_shards):
         dataset = build_dataset(table)
-        corpus = ShardedCorpus(dataset, n_shards, cross_shard="independent")
+        days = ShardedStreamCompiler(n_shards, "independent").ingest(dataset)
         seen = []
-        for index in corpus.shards:
-            seen.extend(corpus.problem(index).items)
+        for day in days:
+            if day.stats.n_active_claims:
+                seen.extend(day.problem().items)
         base = FusionProblem(dataset)
         assert sorted(seen, key=repr) == sorted(base.items, key=repr)
         assert len(seen) == len(set(seen))
@@ -106,83 +101,117 @@ class TestShardMergeProperties:
         max_examples=8, deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_k1_shard_runs_all_sixteen_methods_identically(self, table):
+    def test_k1_day_runs_all_sixteen_methods_identically(self, table):
         dataset = build_dataset(table)
         base = FusionProblem(dataset)
-        shard = ShardedCorpus(dataset, 1).problem(0)
-        assert_problems_bitwise_equal(shard, base)
+        ours = one_day_problem(dataset, 1)
         for name in METHOD_NAMES:
-            ours = make_method(name).run(shard)
+            result = make_method(name).run(ours)
             reference = make_method(name).run(base)
-            assert ours.selected == reference.selected, name
-            assert ours.trust == reference.trust, name
+            assert result.selected == reference.selected, name
+            assert result.trust == reference.trust, name
 
 
 class TestShardDeterministic:
-    """The K=4 exact plan against the unsharded path on a real collection."""
+    """The K=4 exact one-day stream against the unsharded path."""
 
-    @pytest.fixture(scope="class")
-    def corpus(self, stock_snapshot):
-        return ShardedCorpus(stock_snapshot, 4)
-
-    def test_merged_k4_is_bitwise_unsharded(self, corpus, stock_problem):
-        assert len(corpus.shards) == 4
-        assert_problems_bitwise_equal(corpus.merged_problem(), stock_problem)
-
-    def test_exact_plan_matches_unsharded_for_all_sixteen(
-        self, corpus, stock_problem
+    def test_merged_k4_is_the_unsharded_compile(
+        self, stock_snapshot, stock_problem
     ):
-        result = ShardPlan(corpus, METHOD_NAMES).run()
-        assert result.mode == "exact"
-        for name in METHOD_NAMES:
-            reference = make_method(name).run(stock_problem)
-            assert result.results[name].selected == reference.selected, name
-            assert result.results[name].trust == reference.trust, name
-            assert result.results[name].rounds == reference.rounds, name
+        assert_same_structure(one_day_problem(stock_snapshot, 4), stock_problem)
 
-    def test_spec_carve_matches_parent_compile(self, corpus, stock_problem):
-        for index in corpus.shards:
-            carved = shard_problem(stock_problem, corpus.spec(index))
-            assert_problems_bitwise_equal(carved, corpus.problem(index))
+    def test_exact_service_publishes_the_unsharded_store(self, stock_snapshot):
+        methods = list(METHOD_NAMES)
+        with TruthService(methods, shards=4) as service:
+            service.ingest(stock_snapshot)
+            ours = snapshot_of(service.store)
+        assert ours == snapshot_of(unsharded_store(stock_snapshot, methods))
+
+    def test_exact_day_matches_unsharded_for_all_sixteen(
+        self, stock_snapshot, stock_problem
+    ):
+        problem = one_day_problem(stock_snapshot, 4)
+        for name in METHOD_NAMES:
+            result = make_method(name).run(problem)
+            reference = make_method(name).run(stock_problem)
+            assert result.selected == reference.selected, name
+            assert result.trust == reference.trust, name
+            assert result.rounds == reference.rounds, name
 
     def test_copy_counts_sum_to_the_monolithic_counts(
-        self, corpus, stock_problem
+        self, stock_snapshot, stock_problem
     ):
-        merged = corpus.merged_problem(with_copy=True)
-        seeded = merged.copy_structures
+        compiler = ShardedStreamCompiler(4, track_copy_structures=True)
+        seeded = compiler.ingest(stock_snapshot).problem().copy_structures
         fresh = stock_problem.copy_structures
         assert np.array_equal(seeded.same, fresh.same)
         assert np.array_equal(seeded.shared, fresh.shared)
 
-    def test_independent_mode_covers_every_item(self, stock_snapshot):
-        corpus = ShardedCorpus(stock_snapshot, 4, cross_shard="independent")
-        result = ShardPlan(corpus, ["Vote"]).run()
-        assert result.mode == "independent"
-        covered = set()
-        for results in result.shard_results:
-            covered.update(results["Vote"].selected)
-        assert covered == set(FusionProblem(stock_snapshot).items)
-
-    def test_independent_mode_has_no_merged_problem(self, stock_snapshot):
-        corpus = ShardedCorpus(stock_snapshot, 2, cross_shard="independent")
-        with pytest.raises(FusionError, match="exact"):
-            corpus.merged_problem()
+    def test_independent_service_covers_every_item(self, stock_snapshot):
+        with TruthService(
+            ["Vote"], shards=4, cross_shard="independent"
+        ) as service:
+            service.ingest(stock_snapshot)
+            truths = service.store.snapshot().truths
+        expected = {
+            (item.object_id, item.attribute)
+            for item in FusionProblem(stock_snapshot).items
+        }
+        assert set(truths) == expected
 
     def test_oversharding_skips_empty_shards(self):
         dataset = build_dataset({
             ("s1", "o1", "price"): 10.0,
             ("s2", "o1", "price"): 10.0,
         })
-        corpus = ShardedCorpus(dataset, 8)
-        assert len(corpus.shards) == 1
-        assert_problems_bitwise_equal(
-            corpus.merged_problem(), FusionProblem(dataset)
-        )
+        assert_same_structure(one_day_problem(dataset, 8), FusionProblem(dataset))
+        with TruthService(["Vote"], shards=8) as service:
+            service.ingest(dataset)
+            assert snapshot_of(service.store) == snapshot_of(
+                unsharded_store(dataset, ["Vote"])
+            )
 
-    def test_rejects_bad_configuration(self, stock_snapshot):
+    def test_rejects_bad_configuration(self):
         with pytest.raises(ConfigError):
-            ShardedCorpus(stock_snapshot, 0)
+            ShardedStreamCompiler(1)
         with pytest.raises(ConfigError):
-            ShardedCorpus(stock_snapshot, 2, assign="roundrobin")
+            ShardedStreamCompiler(2, cross_shard="sometimes")
         with pytest.raises(ConfigError):
-            ShardedCorpus(stock_snapshot, 2, cross_shard="sometimes")
+            StreamRunner(["Vote"], shards=0)
+        with pytest.raises(ConfigError):
+            StreamRunner(["Vote"], shards=2, cross_shard="sometimes")
+        with pytest.raises(ConfigError):
+            StreamRunner(["Vote"], shards=2, compiler=SeriesCompiler())
+        with pytest.raises(ConfigError):
+            TruthService(["Vote"], shards=0)
+
+    def test_object_shards_are_stable_across_processes(self):
+        """crc32, not ``hash()``: the same object lands in the same shard
+        in every process and on every run."""
+        assert [shard_of_object(o, 4) for o in ("o1", "o2", "o3", "o4", "o5")] == [
+            1, 3, 1, 2, 0,
+        ]
+        assert [shard_of_object(o, 3) for o in ("o1", "o2", "o3", "o4", "o5")] == [
+            2, 1, 2, 2, 1,
+        ]
+        compiler = ShardedStreamCompiler(4)
+        for object_id in ("o1", "AAPL", "UA-123", "\u00e9t\u00e9"):
+            assert compiler.shard_of(object_id) == shard_of_object(object_id, 4)
+            assert 0 <= compiler.shard_of(object_id) < 4
+
+
+@pytest.mark.parametrize("n_shards, mode", [(2, "exact"), (3, "independent")])
+def test_sharded_service_on_workers_matches_serial(stock_snapshot, n_shards, mode):
+    from repro.parallel import SolveScheduler
+
+    if not SolveScheduler(workers=2).parallel:
+        pytest.skip("platform has no usable shared memory")
+    methods = ["Vote", "AccuSim", "AccuCopy"]
+    stores = []
+    for workers in (0, 2):
+        with TruthService(
+            methods, workers=workers, shards=n_shards, cross_shard=mode
+        ) as service:
+            service.ingest(stock_snapshot)
+            stores.append(snapshot_of(service.store))
+    assert stores[0] == stores[1]

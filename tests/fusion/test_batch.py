@@ -10,8 +10,7 @@ from repro.fusion.batch import GoldScorer, RestrictionSweep, solve_restrictions
 from repro.fusion.registry import METHOD_NAMES, make_method
 from repro.fusion.spec import MethodSpec
 
-from tests.core.test_shard_properties import PROBLEM_ARRAYS
-from tests.helpers import build_dataset
+from tests.helpers import PROBLEM_ARRAYS, build_dataset
 
 
 def _prefixes(collection):

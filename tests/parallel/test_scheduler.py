@@ -150,163 +150,9 @@ class TestParallelDeterminism:
         assert outcomes[0].result.selected == reference.selected
         assert outcomes[0].result.trust == reference.trust
 
-    def test_shard_jobs_match_parent_side_compiles(self, stock, problem, scheduler):
-        """Workers carving shards from the shared view == parent compiles."""
-        from repro.core.shard import ShardedCorpus
-
-        corpus = ShardedCorpus(stock.snapshot, 3, cross_shard="independent")
-        key = scheduler.register("full", problem)
-        jobs = [
-            SolveJob(
-                problem=key,
-                calls=[MethodCall("Vote"), MethodCall("AccuSim")],
-                shard=corpus.spec(index),
-            )
-            for index in corpus.shards
-        ]
-        outcomes = scheduler.run(jobs)
-        for index, outcome in zip(corpus.shards, outcomes):
-            shard = corpus.problem(index)
-            for call in outcome.calls:
-                reference = make_method(call.method).run(shard)
-                assert call.result.selected == reference.selected, (index, call.method)
-                for source, trust in reference.trust.items():
-                    assert call.result.trust[source] == pytest.approx(
-                        trust, abs=1e-12
-                    ), (index, call.method, source)
-
-    def test_shard_jobs_compose_with_subset_sweeps(self, stock, problem, scheduler):
-        """A job carrying both a shard and subsets sweeps *within* the shard."""
-        from repro.core.shard import ShardedCorpus
-        from repro.fusion.batch import solve_restrictions
-
-        corpus = ShardedCorpus(stock.snapshot, 2, cross_shard="independent")
-        index = corpus.shards[0]
-        shard = corpus.problem(index)
-        subsets = [shard.sources[: len(shard.sources) // 2], list(shard.sources)]
-        key = scheduler.register("full", problem)
-        outcome = scheduler.run([
-            SolveJob(
-                problem=key,
-                calls=[MethodCall("Vote")],
-                shard=corpus.spec(index),
-                subsets=[list(s) for s in subsets],
-            )
-        ])[0]
-        reference = solve_restrictions(shard, make_method("Vote"), subsets)
-        for row, expected in zip(outcome.sweep, reference):
-            assert row[0].result.selected == expected.result.selected
-
-    def test_shard_plan_parallel_matches_serial(self, stock, scheduler):
-        from repro.core.shard import ShardedCorpus, ShardPlan
-
-        methods = ["Vote", "AccuSim"]
-        serial = ShardPlan(
-            ShardedCorpus(stock.snapshot, 3, cross_shard="independent"), methods
-        ).run()
-        parallel = ShardPlan(
-            ShardedCorpus(stock.snapshot, 3, cross_shard="independent"), methods
-        ).run(scheduler=scheduler)
-        assert parallel.shard_ids == serial.shard_ids
-        for ours, reference in zip(parallel.shard_results, serial.shard_results):
-            for name in methods:
-                assert ours[name].selected == reference[name].selected, name
-                for source, trust in reference[name].trust.items():
-                    assert ours[name].trust[source] == pytest.approx(
-                        trust, abs=1e-12
-                    ), (name, source)
-
 
 class TestViewOnlyExport:
-    """The compile-free shard path: view exports instead of problem exports."""
-
-    def test_independent_plan_compiles_nothing_in_the_parent(self, stock, scheduler):
-        from repro.core.shard import ShardedCorpus, ShardPlan
-        from repro.fusion import base
-
-        methods = ["Vote", "AccuSim"]
-        serial = ShardPlan(
-            ShardedCorpus(stock.snapshot, 3, cross_shard="independent"), methods
-        ).run()
-        corpus = ShardedCorpus(stock.snapshot, 3, cross_shard="independent")
-        corpus.view  # the parent-side cost: the view build, not a compile
-        before = base.PROBLEM_COMPILES
-        parallel = ShardPlan(corpus, methods).run(scheduler=scheduler)
-        assert base.PROBLEM_COMPILES == before  # zero parent-side compiles
-        assert parallel.shard_ids == serial.shard_ids
-        for ours, reference in zip(parallel.shard_results, serial.shard_results):
-            for name in methods:
-                assert ours[name].selected == reference[name].selected, name
-                for source, trust in reference[name].trust.items():
-                    assert ours[name].trust[source] == pytest.approx(
-                        trust, abs=1e-12
-                    ), (name, source)
-
-    def test_serial_fallback_never_compiles_the_monolith(self, stock):
-        from repro.core.shard import ShardedCorpus, ShardPlan
-        from repro.fusion import base
-
-        corpus = ShardedCorpus(stock.snapshot, 3, cross_shard="independent")
-        corpus.view
-        before = base.PROBLEM_COMPILES
-        result = ShardPlan(corpus, ["Vote"]).run()
-        # One compile per live shard, none for the whole snapshot.
-        assert base.PROBLEM_COMPILES - before == len(result.shard_ids)
-
-    def test_view_shard_jobs_match_parent_side_compiles(self, stock, scheduler):
-        """Worker-carved view shards == the corpus's own shard compiles."""
-        from repro.core.shard import ShardedCorpus
-
-        corpus = ShardedCorpus(stock.snapshot, 3, cross_shard="independent")
-        key = scheduler.register_view(
-            "view", corpus.view,
-            shard_codes=corpus.item_codes,
-            n_shards=corpus.n_shards,
-            assign=corpus.assign,
-        )
-        jobs = [
-            SolveJob(
-                problem=key,
-                calls=[MethodCall("Vote"), MethodCall("AccuSim")],
-                shard=corpus.spec(index),
-            )
-            for index in corpus.shards
-        ]
-        outcomes = scheduler.run(jobs)
-        for index, outcome in zip(corpus.shards, outcomes):
-            shard = corpus.problem(index)
-            for call in outcome.calls:
-                reference = make_method(call.method).run(shard)
-                assert call.result.selected == reference.selected, (index, call.method)
-                for source, trust in reference.trust.items():
-                    assert call.result.trust[source] == pytest.approx(
-                        trust, abs=1e-12
-                    ), (index, call.method, source)
-
-    def test_view_jobs_require_a_shard(self, stock, scheduler):
-        from repro.errors import FusionError
-
-        key = scheduler.register_view("bare-view", stock.snapshot.columnar)
-        with pytest.raises(FusionError, match="shard jobs"):
-            scheduler.run([SolveJob(problem=key, calls=[MethodCall("Vote")])])
-
-    def test_view_segments_do_not_survive_close(self, stock):
-        from repro.core.shard import ShardedCorpus
-
-        corpus = ShardedCorpus(stock.snapshot, 2, cross_shard="independent")
-        scheduler = SolveScheduler(workers=2)
-        scheduler.register_view(
-            "view", corpus.view,
-            shard_codes=corpus.item_codes, n_shards=2, assign="hash",
-        )
-        segments = [
-            registration.descriptor.bundle.segment
-            for registration in scheduler._registrations.values()
-            if registration.descriptor is not None
-        ]
-        assert segments and all(_attachable(s) for s in segments)
-        scheduler.close()
-        assert not any(_attachable(s) for s in segments)
+    """The packer under every problem export: view columns, read-only."""
 
     def test_view_export_is_read_only_when_attached(self, stock):
         import numpy as np
@@ -331,110 +177,66 @@ class TestViewOnlyExport:
             bundle.close()
             bundle.unlink()
 
-    def test_global_scope_view_jobs_use_exported_tolerances(self, stock, scheduler):
-        """Precomputed Equation-3 medians ride the export; workers reuse them.
+    @pytest.mark.parametrize(
+        "shape", ["full", "restricted", "copy", "sharded-day"]
+    )
+    def test_problem_export_round_trips_bitwise(
+        self, stock, problem, tmp_path, shape
+    ):
+        """A worker's rehydrated problem is the exported one, array for array."""
+        import numpy as np
 
-        A global-tolerance-scope spec against a view registered with
-        ``attr_tol`` must equal the exact corpus's own shard problems (which
-        share the snapshot-global medians) without any worker median pass.
-        """
-        from repro.core.shard import ShardedCorpus
+        from repro.parallel import _AttachedProblem, _export_problem
+        from repro.streaming import ShardedStreamCompiler
+        from tests.helpers import PROBLEM_ARRAYS
 
-        corpus = ShardedCorpus(stock.snapshot, 2, cross_shard="exact")
-        key = scheduler.register_view(
-            "view-tol", corpus.view,
-            shard_codes=corpus.item_codes,
-            n_shards=corpus.n_shards,
-            assign=corpus.assign,
-            attr_tol=corpus.global_tolerances(),
-        )
-        jobs = [
-            SolveJob(
-                problem=key,
-                calls=[MethodCall("AccuSim")],
-                shard=corpus.spec(index),  # tolerance_scope == "global"
+        methods = ["Vote", "AccuSim"]
+        if shape == "restricted":
+            problem = problem.restrict_sources(
+                problem.sources[: len(problem.sources) // 2]
             )
-            for index in corpus.shards
-        ]
-        assert corpus.spec(corpus.shards[0]).tolerance_scope == "global"
-        outcomes = scheduler.run(jobs)
-        for index, outcome in zip(corpus.shards, outcomes):
-            reference = make_method("AccuSim").run(corpus.problem(index))
-            call = outcome.calls[0]
-            assert call.result.selected == reference.selected, index
-            for source, trust in reference.trust.items():
-                assert call.result.trust[source] == pytest.approx(
-                    trust, abs=1e-12
-                ), (index, source)
-
-    def test_reregistering_a_view_with_gold_upgrades_the_export(self, stock, problem):
-        """A gold standard supplied later must reach the workers (re-export)."""
-        from repro.core.gold import GoldStandard
-        from repro.core.shard import ShardedCorpus
-
-        corpus = ShardedCorpus(stock.snapshot, 2, cross_shard="independent")
-        scheduler = SolveScheduler(workers=2)
+        elif shape == "copy":
+            methods = ["AccuCopy"]
+        elif shape == "sharded-day":
+            compiler = ShardedStreamCompiler(2, "exact")
+            problem = compiler.ingest(stock.snapshot).problem()
+        bundle, descriptor = _export_problem(
+            problem, stock.gold, str(tmp_path), shape, 1,
+            with_copy=shape == "copy",
+        )
         try:
-            key = scheduler.register_view(
-                "upg", corpus.view,
-                shard_codes=corpus.item_codes, n_shards=2, assign="hash",
-            )
-            first = [
-                r.descriptor.bundle.segment
-                for r in scheduler._registrations.values()
-                if r.descriptor is not None
-            ]
-            scheduler.register_view("upg", corpus.view, gold=stock.gold)
-            second = [
-                r.descriptor.bundle.segment
-                for r in scheduler._registrations.values()
-                if r.descriptor is not None
-            ]
-            assert first != second  # upgraded in place, old segment gone
-            assert not any(_attachable(s) for s in first)
-            jobs = [
-                SolveJob(
-                    problem=key, calls=[MethodCall("Vote")],
-                    shard=corpus.spec(index), evaluate=True,
-                )
-                for index in corpus.shards
-            ]
-            outcomes = scheduler.run(jobs)
-            for outcome in outcomes:
-                assert outcome.calls[0].precision is not None
-            # Same view, nothing new: free, no re-export.
-            scheduler.register_view("upg", corpus.view, gold=stock.gold)
-            third = [
-                r.descriptor.bundle.segment
-                for r in scheduler._registrations.values()
-                if r.descriptor is not None
-            ]
-            assert third == second
+            attached = _AttachedProblem(descriptor)
+            try:
+                ours = attached.problem
+                for name in PROBLEM_ARRAYS:
+                    assert np.array_equal(
+                        getattr(ours, name), getattr(problem, name)
+                    ), name
+                assert np.array_equal(ours._source_codes, problem._source_codes)
+                assert (ours._claim_mask is None) == (problem._claim_mask is None)
+                if problem._claim_mask is not None:
+                    assert np.array_equal(ours._claim_mask, problem._claim_mask)
+                assert ours.items == problem.items
+                assert ours.sources == problem.sources
+                assert ours._view.values == problem._view.values
+                assert attached.gold.values == stock.gold.values
+                if shape == "copy":
+                    assert descriptor.has_copy
+                    ours_copy = ours.copy_structures
+                    base_copy = problem.copy_structures
+                    assert np.array_equal(ours_copy.same, base_copy.same)
+                    assert np.array_equal(ours_copy.shared, base_copy.shared)
+                for name in methods:
+                    result = make_method(name).run(ours)
+                    reference = make_method(name).run(problem)
+                    assert result.selected == reference.selected, name
+                    assert result.trust == reference.trust, name
+                    assert result.rounds == reference.rounds, name
+            finally:
+                attached.close()
         finally:
-            scheduler.close()
-
-    def test_shipped_codes_match_worker_rehash(self, stock, scheduler):
-        """A spec whose (K, assign) differs from the shipped codes still works."""
-        from repro.core.shard import ShardedCorpus, ShardSpec
-
-        corpus = ShardedCorpus(stock.snapshot, 2, cross_shard="independent")
-        key = scheduler.register_view(
-            "view2", corpus.view,
-            shard_codes=corpus.item_codes, n_shards=2, assign="hash",
-        )
-        other = ShardedCorpus(stock.snapshot, 3, cross_shard="independent")
-        jobs = [
-            SolveJob(
-                problem=key,
-                calls=[MethodCall("Vote")],
-                shard=ShardSpec(3, index, "hash", "shard"),
-            )
-            for index in other.shards
-        ]
-        outcomes = scheduler.run(jobs)
-        for index, outcome in zip(other.shards, outcomes):
-            reference = make_method("Vote").run(other.problem(index))
-            assert outcome.calls[0].result.selected == reference.selected, index
+            bundle.close()
+            bundle.unlink()
 
 
 class TestSchedulerHygiene:
@@ -524,6 +326,26 @@ class TestSchedulerHygiene:
             assert all(_attachable(s) for s in second)
             # Same object re-registered: free, nothing re-exported.
             scheduler.register("day", other)
+            assert self._segments(scheduler) == second
+        finally:
+            scheduler.close()
+
+    def test_reregistering_with_gold_upgrades_the_export(self, problem, stock):
+        """A gold standard supplied later must reach the workers (re-export)."""
+        scheduler = SolveScheduler(workers=2)
+        try:
+            key = scheduler.register("upg", problem)
+            first = self._segments(scheduler)
+            scheduler.register("upg", problem, gold=stock.gold)
+            second = self._segments(scheduler)
+            assert first != second  # upgraded in place, old segment gone
+            assert not any(_attachable(s) for s in first)
+            outcome = scheduler.run([
+                SolveJob(problem=key, calls=[MethodCall("Vote")], evaluate=True)
+            ])[0]
+            assert outcome.calls[0].precision is not None
+            # Same problem, nothing new: free, no re-export.
+            scheduler.register("upg", problem, gold=stock.gold)
             assert self._segments(scheduler) == second
         finally:
             scheduler.close()

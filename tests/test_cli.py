@@ -62,6 +62,17 @@ class TestFuseCommand:
 
 
 class TestFuseSolverFlags:
+    def test_fuse_reports_a_malformed_csv(self, claims_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("not,a,claims,file\n")
+        assert main(["fuse", str(bad)]) == 2
+        assert "error: " in capsys.readouterr().err
+        badrow = tmp_path / "badrow.csv"
+        badrow.write_text(claims_csv.read_text() + "s1,o2\n")
+        assert main(["fuse", str(badrow)]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "claim row has 2 fields, expected 5" in err
+
     def test_max_rounds_caps_iteration(self, claims_csv, tmp_path):
         output = tmp_path / "result.json"
         assert main([
@@ -387,6 +398,63 @@ class TestServeAndQuery:
         days.mkdir()
         assert main(["stream", str(days), "--approximate"]) == 2
         assert "--shards" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--shards", "2"],
+            ["--shards", "2", "--approximate"],
+            [],
+            ["--shards", "3"],
+            ["--shards", "4", "--approximate"],
+        ],
+        ids=["exact", "approximate", "flat", "exact3", "approximate4"],
+    )
+    def test_serve_file_equals_serve_directory(
+        self, richer_csv, tmp_path, capsys, extra
+    ):
+        """A claims CSV is served as a one-day directory, byte for byte."""
+        days = tmp_path / "days"
+        days.mkdir()
+        (days / "00.csv").write_bytes(richer_csv.read_bytes())
+        from_file, from_dir = tmp_path / "file.json", tmp_path / "dir.json"
+        methods = ["--method", "Vote", "--method", "AccuSim"]
+        assert main([
+            "serve", str(richer_csv), "--store", str(from_file), *methods, *extra,
+        ]) == 0
+        assert main([
+            "serve", str(days), "--store", str(from_dir), *methods, *extra,
+        ]) == 0
+        assert from_file.read_bytes() == from_dir.read_bytes()
+
+    def test_serve_malformed_file_writes_no_store(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("not,a,claims,file\n")
+        store = tmp_path / "s.json"
+        assert main(["serve", str(bad), "--store", str(store)]) == 1
+        err = capsys.readouterr().err
+        assert "bad header" in err
+        assert f"no claims day in {bad} could be served" in err
+        assert not store.exists()
+
+    def test_serve_directory_of_skipped_days_fails(
+        self, richer_csv, tmp_path, capsys
+    ):
+        days = tmp_path / "days"
+        days.mkdir()
+        (days / "00.csv").write_text("not,a,claims,file\n")
+        (days / "01.csv").write_text(richer_csv.read_text() + "s1,o9\n")
+        store = tmp_path / "s.json"
+        assert main(["serve", str(days), "--store", str(store)]) == 1
+        err = capsys.readouterr().err
+        assert "skipping 00.csv" in err and "skipping 01.csv" in err
+        assert f"no claims day in {days} could be served" in err
+        assert not store.exists()
+        assert main(["stream", str(days)]) == 1
+        assert (
+            f"no claims day in {days} could be served"
+            in capsys.readouterr().err
+        )
 
     def test_serve_rejects_missing_source(self, tmp_path):
         assert main([

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.delta import ClaimDelta
 from repro.core.records import Claim, DataItem
-from repro.core.shard import ShardedCorpus, ShardPlan
 from repro.errors import FusionError, StalePublishError
 from repro.fusion.base import FusionResult
 from repro.fusion.registry import make_method
@@ -86,8 +85,6 @@ class TestTruthStoreBasics:
     def test_publish_rejects_empty(self):
         with pytest.raises(FusionError):
             TruthStore().publish("d0", {})
-        with pytest.raises(FusionError):
-            TruthStore().publish_shards("d0", [])
 
     def test_save_load_round_trip(self, tmp_path):
         store = TruthStore()
@@ -186,49 +183,14 @@ class TestTruthStoreBasics:
 
 
 class TestShardedPublish:
-    def test_shard_truths_union_and_trust_merges_by_weight(self):
-        store = TruthStore()
-        shard_results = [
-            {"Vote": _result("Vote", {("o1", "price"): 10.0}, {"s1": 1.0, "s2": 0.0})},
-            {"Vote": _result("Vote", {("o2", "price"): 5.0}, {"s1": 0.0, "s2": 1.0})},
-        ]
+    def test_trust_merges_by_claim_weight(self):
+        trusts = [{"s1": 1.0, "s2": 0.0}, {"s1": 0.0, "s2": 1.0}]
         weights = [{"s1": 3.0, "s2": 1.0}, {"s1": 1.0, "s2": 3.0}]
-        store.publish_shards("d0", shard_results, source_weights=weights)
-        assert store.lookup("o1", "price").value == 10.0
-        assert store.lookup("o2", "price").value == 5.0
-        assert store.trust("s1") == pytest.approx(0.75)
-        assert store.trust("s2") == pytest.approx(0.75)
+        merged = merge_shard_trust(trusts, weights)
+        assert merged["s1"] == pytest.approx(0.75)
+        assert merged["s2"] == pytest.approx(0.75)
         # Without weights the merge is a plain mean.
-        store.publish_shards("d1", shard_results)
-        assert store.trust("s1") == pytest.approx(0.5)
-
-    def test_partial_shard_publish_fails_cleanly(self):
-        """A shard missing a method must raise a clear FusionError naming
-        the shard and method — not a bare KeyError mid-publish."""
-        store = TruthStore()
-        store.publish("d0", {
-            "Vote": _result("Vote", {("o1", "price"): 1.0}, {"s1": 0.5}),
-        })
-        shard_results = [
-            {
-                "Vote": _result("Vote", {("o1", "price"): 1.0}, {}),
-                "AccuSim": _result("AccuSim", {("o1", "price"): 1.0}, {}),
-            },
-            {"Vote": _result("Vote", {("o2", "price"): 2.0}, {})},  # partial
-        ]
-        with pytest.raises(FusionError, match=r"shard 1.*'AccuSim'"):
-            store.publish_shards("d1", shard_results)
-        # The failed publish changed nothing.
-        assert store.version == 1 and store.day == "d0"
-        # A shard carrying an *extra* method is just as inconsistent.
-        with pytest.raises(FusionError, match=r"shard 1.*extra.*'Ghost'"):
-            store.publish_shards("d1", [
-                {"Vote": _result("Vote", {("o1", "price"): 1.0}, {})},
-                {
-                    "Vote": _result("Vote", {("o2", "price"): 2.0}, {}),
-                    "Ghost": _result("Ghost", {("o2", "price"): 2.0}, {}),
-                },
-            ])
+        assert merge_shard_trust(trusts)["s1"] == pytest.approx(0.5)
 
     def test_merge_shard_trust_rejects_short_weights(self):
         trusts = [{"s1": 0.2}, {"s1": 0.6}]
@@ -239,40 +201,86 @@ class TestShardedPublish:
         assert merged["s1"] == pytest.approx(0.4)
 
     def test_zero_weight_source_falls_back_to_plain_mean(self):
-        store = TruthStore()
-        shard_results = [
-            {"Vote": _result("Vote", {("o1", "price"): 1.0}, {"s1": 0.2})},
-            {"Vote": _result("Vote", {("o2", "price"): 2.0}, {"s1": 0.6})},
-        ]
-        store.publish_shards(
-            "d0", shard_results, source_weights=[{"s1": 0.0}, {"s1": 0.0}]
+        merged = merge_shard_trust(
+            [{"s1": 0.2}, {"s1": 0.6}], weights=[{"s1": 0.0}, {"s1": 0.0}]
         )
-        assert store.trust("s1") == pytest.approx(0.4)
+        assert merged["s1"] == pytest.approx(0.4)
 
-    def test_plan_round_trip_exact_equals_unsharded_publish(self, dataset):
+    def test_exact_service_equals_unsharded_publish(self, dataset):
         from repro.fusion.base import FusionProblem
 
-        exact = TruthStore()
-        exact.publish_plan(ShardPlan(ShardedCorpus(dataset, 2), ["Vote"]).run())
+        with TruthService(["Vote"], shards=2) as service:
+            service.ingest(dataset)
+            exact = service.store
         flat = TruthStore()
         flat.publish(
             dataset.day, {"Vote": make_method("Vote").run(FusionProblem(dataset))}
         )
-        for key in ("o1", "o2"):
-            assert (
-                exact.lookup(key, "price").value == flat.lookup(key, "price").value
-            )
-        assert exact.trust("s1") == flat.trust("s1")
+        assert exact.snapshot().truths == flat.snapshot().truths
+        assert exact.snapshot().trust == flat.snapshot().trust
 
-    def test_plan_round_trip_independent(self, dataset):
-        corpus = ShardedCorpus(dataset, 2, cross_shard="independent")
-        store = TruthStore()
-        store.publish_plan(ShardPlan(corpus, ["Vote"]).run())
+    def test_independent_service_answers_every_item(self, dataset):
+        with TruthService(
+            ["Vote"], shards=2, cross_shard="independent"
+        ) as service:
+            service.ingest(dataset)
+            store = service.store
         # Every item answered, trust merged over the full source universe.
         for obj, attr in (("o1", "price"), ("o2", "price"), ("o3", "gate")):
             assert store.lookup(obj, attr) is not None
         for source in ("s1", "s2", "s3"):
             assert store.trust(source) is not None
+
+    def test_independent_trust_is_the_claim_weighted_shard_mean(
+        self, stock_snapshot
+    ):
+        from repro.streaming import shard_of_object
+
+        n_shards = 3
+        with TruthService(
+            ["AccuSim"], shards=n_shards, cross_shard="independent"
+        ) as service:
+            service.ingest(stock_snapshot)
+            trust = service.store.snapshot().trust["AccuSim"]
+            by_shard = service.runner.steps[-1].shard_results
+        # Each shard's evidence for a source is its claim count there.
+        weights = [{} for _ in range(n_shards)]
+        for item, source_id, _claim in stock_snapshot.iter_claims():
+            shard = weights[shard_of_object(item.object_id, n_shards)]
+            shard[source_id] = shard.get(source_id, 0.0) + 1.0
+        live = sorted(by_shard)
+        assert len(live) > 1
+        shard_trusts = [by_shard[k]["AccuSim"].trust for k in live]
+        assert trust == merge_shard_trust(
+            shard_trusts, [weights[k] for k in live]
+        )
+        assert trust != merge_shard_trust(shard_trusts)
+
+    @pytest.mark.parametrize(
+        "shards, mode",
+        [(1, "exact"), (2, "exact"), (2, "independent")],
+        ids=["flat", "exact", "independent"],
+    )
+    def test_empty_day_fails_and_leaves_the_store_unchanged(
+        self, dataset, shards, mode
+    ):
+        """A day that retracts every claim raises; nothing is published."""
+        with TruthService(
+            ["Vote", "AccuSim"], shards=shards, cross_shard=mode
+        ) as service:
+            service.ingest(dataset)
+            before = service.store.snapshot()
+            everything = tuple(
+                (source_id, item)
+                for item, source_id, _claim in dataset.iter_claims()
+            )
+            with pytest.raises(FusionError):
+                service.apply(ClaimDelta(day="d1", retracted=everything))
+            after = service.store.snapshot()
+            assert service.store.version == 1
+            assert (after.day, after.truths, after.trust) == (
+                before.day, before.truths, before.trust
+            )
 
 
 class TestRefreshSafety:
