@@ -5,7 +5,7 @@ Usage::
     python -m repro.cli fuse claims.csv --method AccuSim -o result.json
     python -m repro.cli fuse claims.csv --method AccuCopy --gold gold.csv
     python -m repro.cli stream days/ --method AccuSim --output-dir out/
-    python -m repro.cli serve claims.csv --shards 4 --store store.json
+    python -m repro.cli serve claims.csv --shards 4 --approximate --store store.json
     python -m repro.cli serve days/ --stream --listen 8080 --store store.json
     python -m repro.cli serve store.json --listen 127.0.0.1:8080
     python -m repro.cli query store.json --object o1 --attribute price
@@ -55,11 +55,13 @@ from repro.io import (
 )
 
 
-def _sharding_mode(args: argparse.Namespace) -> Optional[str]:
-    """The validated ``cross_shard`` mode for ``--shards``/``--approximate``.
+def _shard_count(args: argparse.Namespace) -> Optional[int]:
+    """The validated runner shard count for ``--shards``/``--approximate``.
 
     ``None`` means the flags are inconsistent (the message is printed);
     shared by ``stream`` and ``serve`` so their CLI contracts cannot drift.
+    Shards are solved shard-locally, so ``--shards K`` without
+    ``--approximate`` asks for the exact answer: the unsharded run.
     """
     if args.shards < 1:
         print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
@@ -67,7 +69,7 @@ def _sharding_mode(args: argparse.Namespace) -> Optional[str]:
     if args.approximate and args.shards == 1:
         print("--approximate needs --shards K with K > 1", file=sys.stderr)
         return None
-    return "independent" if args.approximate else "exact"
+    return args.shards if args.approximate else 1
 
 
 def _method_kwargs(args: argparse.Namespace) -> dict:
@@ -146,8 +148,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"{directory} is not a directory", file=sys.stderr)
         return 2
-    cross_shard = _sharding_mode(args)
-    if cross_shard is None:
+    shards = _shard_count(args)
+    if shards is None:
         return 2
     methods = args.method or ["AccuSim"]
     kwargs = _method_kwargs(args)
@@ -156,8 +158,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         {name: dict(kwargs) for name in methods} if kwargs else None,
         warm_start=not args.cold,
         workers=args.workers,
-        shards=args.shards,
-        cross_shard=cross_shard,
+        shards=shards,
     )
     output_dir = Path(args.output_dir) if args.output_dir else None
     if output_dir is not None:
@@ -320,8 +321,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    cross_shard = _sharding_mode(args)
-    if cross_shard is None:
+    shards = _shard_count(args)
+    if shards is None:
         return 2
     if source.is_dir():
         paths = sorted(source.glob("*.csv"))
@@ -344,15 +345,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         # Every daily CSV becomes the next store version.  After the first,
         # each file is diffed against the last consumed one and applied as
-        # a claim delta.  With --shards K each day is compiled by K
-        # per-shard series compilers.
+        # a claim delta.  With --shards K --approximate each day is
+        # compiled and solved by K shard-local series compilers.
         with TruthService(
             methods,
             {name: dict(kwargs) for name in methods} if kwargs else None,
             workers=args.workers,
             store=store,
-            shards=args.shards,
-            cross_shard=cross_shard,
+            shards=shards,
         ) as service:
             reader = ClaimsDayReader()
             for path in paths:
@@ -389,6 +389,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 1
         if handle is not None:
             _listen_wait(args)
+    except KeyboardInterrupt:
+        # An interrupt is how a live server is asked to stop.  One that
+        # lands before the listener wait (the last day still saving) ends
+        # the run the same way; saves are atomic, so the store file holds
+        # the previous complete version.
+        if handle is None:
+            raise
     finally:
         if handle is not None:
             handle.stop()
@@ -515,11 +522,13 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--workers", type=int, default=1,
                         help="solve each day's methods across this many workers")
     stream.add_argument("--shards", type=int, default=1,
-                        help="shard the stream by object key across K "
-                             "per-shard series compilers (default 1)")
+                        help="shard count K (default 1); without "
+                             "--approximate the exact answer is the "
+                             "unsharded run, so K is validated only")
     stream.add_argument("--approximate", action="store_true",
-                        help="solve stream shards independently (shard-local "
-                             "trust/tolerances) instead of the exact merge")
+                        help="shard the stream by object key across K "
+                             "shard-local compiles and solves (own trust "
+                             "and tolerances), merged per day")
     stream.set_defaults(func=_cmd_stream)
 
     serve = sub.add_parser(
@@ -535,11 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", default="truth_store.json",
                        help="output store path (default: truth_store.json)")
     serve.add_argument("--shards", type=int, default=1,
-                       help="shard each day by object key across K "
-                            "per-shard series compilers (default 1)")
+                       help="shard count K (default 1); without "
+                            "--approximate the exact answer is the "
+                            "unsharded run, so K is validated only")
     serve.add_argument("--approximate", action="store_true",
-                       help="solve shards independently (shard-local trust "
-                            "and tolerances) instead of the exact merge")
+                       help="shard each day by object key across K "
+                            "shard-local compiles and solves (own trust "
+                            "and tolerances), merged per day")
     serve.add_argument("--stream", action="store_true",
                        help="require streaming input: serve a directory of "
                             "daily CSVs through (optionally sharded) warm "

@@ -78,9 +78,6 @@ FULL_COMPILE_THRESHOLD = 0.5
 #: Compact the claim store when inactive claims outnumber active ones by
 #: this factor (high-churn feeds would otherwise grow it without bound).
 DEFAULT_MAX_INACTIVE_RATIO = 1.0
-#: New-value batches above this size take the dense re-rank path instead of
-#: fractional insertion between existing ranks.
-_RANK_BULK = 4096
 #: Re-rank densely when fractional insertion would create gaps this small.
 _RANK_MIN_GAP = 1e-9
 
@@ -281,95 +278,6 @@ def splice_compiled(
     )
 
 
-def concat_compiled(parts: List[CompiledClusters]) -> CompiledClusters:
-    """Merge compilations with **disjoint** item sets into item-code order.
-
-    The N-way generalization of :func:`splice_compiled`'s segment shuffle:
-    one stable sort over the union's item codes orders every part's item
-    segments, and the cluster/claim arrays are gathered once — instead of
-    chaining N-1 pairwise splices that rebuild the accumulated result each
-    time.  Because each item's segment is copied verbatim from its part,
-    the result equals a monolithic compile of the union exactly (the shard
-    property suite pins it bitwise through the exact sharded stream's merge).
-    """
-    parts = [part for part in parts if len(part.item_index)]
-    if not parts:
-        raise FusionError("concat_compiled needs at least one non-empty part")
-    if len(parts) == 1:
-        return parts[0]
-    cluster_off = np.cumsum([0] + [part.n_clusters for part in parts])
-    claim_off = np.cumsum([0] + [len(part.claim_source) for part in parts])
-
-    items = np.concatenate([part.item_index for part in parts])
-    attrs = np.concatenate([part.item_attr for part in parts])
-    seg_cstart = np.concatenate([
-        part.item_start[:-1] + off
-        for part, off in zip(parts, cluster_off[:-1])
-    ])
-    seg_ccount = np.concatenate([np.diff(part.item_start) for part in parts])
-    bounds = [
-        np.concatenate(([0], np.cumsum(part.cluster_support))).astype(np.int64)
-        for part in parts
-    ]
-    seg_qstart = np.concatenate([
-        b[part.item_start[:-1]] + off
-        for part, b, off in zip(parts, bounds, claim_off[:-1])
-    ])
-    seg_qcount = np.concatenate([
-        b[part.item_start[1:]] - b[part.item_start[:-1]]
-        for part, b in zip(parts, bounds)
-    ])
-
-    order = np.argsort(items, kind="stable")  # item codes are disjoint
-    items = items[order]
-    attrs = attrs[order]
-    seg_cstart = seg_cstart[order]
-    seg_ccount = seg_ccount[order]
-    seg_qstart = seg_qstart[order]
-    seg_qcount = seg_qcount[order]
-
-    n_items = len(items)
-    item_start = np.concatenate(([0], np.cumsum(seg_ccount))).astype(np.int64)
-
-    all_cluster_value = np.concatenate([part.cluster_value for part in parts])
-    all_cluster_support = np.concatenate([
-        part.cluster_support for part in parts
-    ])
-    cidx = _ranges(seg_cstart, seg_ccount)
-    cluster_item = np.repeat(np.arange(n_items, dtype=np.int64), seg_ccount)
-
-    all_claim_source = np.concatenate([part.claim_source for part in parts])
-    all_claim_value = np.concatenate([part.claim_value for part in parts])
-    all_claim_granularity = np.concatenate([
-        part.claim_granularity for part in parts
-    ])
-    all_claim_cluster = np.concatenate([
-        part.claim_cluster + off
-        for part, off in zip(parts, cluster_off[:-1])
-    ])
-    qidx = _ranges(seg_qstart, seg_qcount)
-    # Shift each claim's cluster id from its part's block numbering to the
-    # merged numbering, exactly like the pairwise splice.
-    claim_cluster = (
-        all_claim_cluster[qidx]
-        - np.repeat(seg_cstart, seg_qcount)
-        + np.repeat(item_start[:-1], seg_qcount)
-    )
-
-    return CompiledClusters(
-        item_index=items,
-        item_attr=attrs,
-        item_start=item_start,
-        cluster_item=cluster_item,
-        cluster_value=all_cluster_value[cidx],
-        cluster_support=all_cluster_support[cidx].astype(np.int64),
-        claim_source=all_claim_source[qidx],
-        claim_cluster=claim_cluster,
-        claim_value=all_claim_value[qidx],
-        claim_granularity=all_claim_granularity[qidx],
-    )
-
-
 def _pair_counts(
     source_codes: np.ndarray, group_codes: np.ndarray, n_sources: int
 ) -> np.ndarray:
@@ -417,27 +325,6 @@ class DayStats:
     full_compile: bool
     compacted: bool
     ingest_seconds: float
-
-
-@dataclass
-class PendingDay:
-    """A day whose claim churn is applied but whose compile hasn't run yet.
-
-    The two-phase split (:meth:`SeriesCompiler.begin_ingest` /
-    :meth:`SeriesCompiler.begin_delta` then :meth:`SeriesCompiler.finish`)
-    exists for the sharded streaming runner: every shard applies its slice
-    of the day first, the runner computes the day's *global* Equation-(3)
-    tolerances from the merged pending magnitudes, and each shard finishes
-    its compile under those shared medians — which is what makes the
-    spliced-together day bit-identical to the unsharded compile.
-    """
-
-    day: str
-    active: np.ndarray
-    old_active: np.ndarray
-    sources: List[str]
-    delta: Optional[ClaimDelta]
-    started: float
 
 
 @dataclass
@@ -626,15 +513,11 @@ class SeriesCompiler:
 
         Ranks only have to be *order-isomorphic* to the ``str()`` ordering
         (the clustering kernel uses them as lexsort tie-break keys), so
-        small batches are inserted fractionally between their neighbours'
-        ranks; large batches (snapshot ingests, compactions) re-rank
-        densely.
+        fresh values are inserted fractionally between their neighbours'
+        ranks.  Only the first batch (no sorted table yet) and gaps that
+        would close below ``_RANK_MIN_GAP`` re-rank densely.
         """
-        if (
-            self._sorted_strs is None
-            or len(fresh) > _RANK_BULK
-            or len(self._sorted_strs) == 0
-        ):
+        if self._sorted_strs is None or len(self._sorted_strs) == 0:
             self._rerank_dense()
             return
 
@@ -809,18 +692,8 @@ class SeriesCompiler:
         """``float(value)`` (or NaN) per interned value, parallel to values."""
         return self._value_numeric
 
-    def ingest(
-        self, dataset: Dataset, attr_tol: Optional[np.ndarray] = None
-    ) -> DayCompilation:
-        """Diff a full snapshot against the stream and compile its day.
-
-        ``attr_tol`` overrides the day's Equation-(3) tolerances (the
-        sharded streaming runner hands every shard the global medians).
-        """
-        return self.finish(self.begin_ingest(dataset), attr_tol=attr_tol)
-
-    def begin_ingest(self, dataset: Dataset) -> PendingDay:
-        """Phase one of :meth:`ingest`: apply the snapshot's claim churn."""
+    def ingest(self, dataset: Dataset) -> DayCompilation:
+        """Diff a full snapshot against the stream and compile its day."""
         started = time.perf_counter()
         self._check_attributes(dataset.attributes)
         view = dataset.columnar
@@ -873,23 +746,12 @@ class SeriesCompiler:
         active = np.zeros(len(self._s_key), dtype=bool)
         active[pos] = True
         self._attr_sorted = None  # ingest recomputes tolerances wholesale
-        return PendingDay(
-            day=dataset.day,
-            active=active,
-            old_active=old_active,
-            sources=list(view.sources),
-            delta=None,
-            started=started,
+        return self._finish_day(
+            dataset.day, active, old_active, list(view.sources), None, started
         )
 
-    def apply_delta(
-        self, delta: ClaimDelta, attr_tol: Optional[np.ndarray] = None
-    ) -> DayCompilation:
+    def apply_delta(self, delta: ClaimDelta) -> DayCompilation:
         """Compile the next day from an explicit change set."""
-        return self.finish(self.begin_delta(delta), attr_tol=attr_tol)
-
-    def begin_delta(self, delta: ClaimDelta) -> PendingDay:
-        """Phase one of :meth:`apply_delta`: apply the explicit change set."""
         started = time.perf_counter()
         if self._attributes is None:
             raise FusionError(
@@ -976,20 +838,13 @@ class SeriesCompiler:
                 )
                 pos = self._lookup(keys)
             active[pos] = True
-        return PendingDay(
-            day=delta.day,
-            active=active,
-            old_active=old_active,
-            sources=declared,
-            delta=delta,
-            started=started,
+        return self._finish_day(
+            delta.day, active, old_active, declared, delta, started
         )
 
     # ------------------------------------------------------------ tolerances
-    def _attr_magnitudes(
-        self, active: np.ndarray, sort: bool = True
-    ) -> List[Optional[np.ndarray]]:
-        """|value| arrays of the active claims, per numeric attribute."""
+    def _attr_sorted_arrays(self, active: np.ndarray) -> List[Optional[np.ndarray]]:
+        """Sorted |value| arrays of the active claims, per numeric attribute."""
         arrays: List[Optional[np.ndarray]] = []
         item_attr = np.asarray(self._item_attr_list, dtype=np.int64)
         claim_attr = item_attr[self._s_item]
@@ -999,27 +854,11 @@ class SeriesCompiler:
                     self._s_val[active & (claim_attr == code)]
                 ]
                 bucket = np.abs(bucket[~np.isnan(bucket)])
-                if sort:
-                    bucket.sort()
+                bucket.sort()
                 arrays.append(bucket)
             else:
                 arrays.append(None)
         return arrays
-
-    def _attr_sorted_arrays(self, active: np.ndarray) -> List[Optional[np.ndarray]]:
-        """Sorted |value| arrays of the active claims, per numeric attribute."""
-        return self._attr_magnitudes(active, sort=True)
-
-    def pending_magnitudes(
-        self, pending: PendingDay
-    ) -> List[Optional[np.ndarray]]:
-        """Per-numeric-attribute |value| arrays of a pending day's claims.
-
-        The sharded streaming runner concatenates these across shards to
-        compute the day's **global** Equation-(3) medians before calling
-        :meth:`finish` on every shard with the shared tolerances.
-        """
-        return self._attr_magnitudes(pending.active, sort=False)
 
     def _patch_attr_sorted(
         self, old_active: np.ndarray, active: np.ndarray
@@ -1049,32 +888,6 @@ class SeriesCompiler:
                 arr = np.insert(arr, np.searchsorted(arr, adds), adds)
             self._attr_sorted[code] = arr
 
-    def global_tolerances(
-        self, buckets: List[List[Optional[np.ndarray]]]
-    ) -> np.ndarray:
-        """Equation (3) from per-shard magnitude buckets merged per attribute.
-
-        ``buckets`` is one :meth:`pending_magnitudes` result per shard; the
-        medians are computed over the concatenation, so they equal the
-        unsharded snapshot's medians exactly (``np.median`` is a multiset
-        function — element order cannot change it).
-        """
-        tolerances = np.zeros(len(self._attr_specs), dtype=np.float64)
-        for code, spec in enumerate(self._attr_specs):
-            if spec.kind is ValueKind.TIME:
-                tolerances[code] = TIME_TOLERANCE_MINUTES
-            elif spec.kind.is_numeric:
-                parts = [b[code] for b in buckets if b[code] is not None]
-                merged = (
-                    np.concatenate(parts) if parts
-                    else np.zeros(0, dtype=np.float64)
-                )
-                if merged.size:
-                    tolerances[code] = spec.tolerance_factor * float(
-                        np.median(merged)
-                    )
-        return tolerances
-
     def _tolerances_from_sorted(self) -> np.ndarray:
         """Equation (3) per attribute from the maintained sorted arrays."""
         tolerances = np.zeros(len(self._attr_specs), dtype=np.float64)
@@ -1096,20 +909,6 @@ class SeriesCompiler:
         return tolerances
 
     # ----------------------------------------------------------- compilation
-    def finish(
-        self, pending: PendingDay, attr_tol: Optional[np.ndarray] = None
-    ) -> DayCompilation:
-        """Phase two: compile a pending day (optionally under given tolerances)."""
-        return self._finish_day(
-            pending.day,
-            pending.active,
-            pending.old_active,
-            pending.sources,
-            pending.delta,
-            pending.started,
-            attr_tol_override=attr_tol,
-        )
-
     def _finish_day(
         self,
         day: str,
@@ -1118,19 +917,13 @@ class SeriesCompiler:
         declared_sources: List[str],
         delta: Optional[ClaimDelta],
         started: float,
-        attr_tol_override: Optional[np.ndarray] = None,
     ) -> DayCompilation:
         changed = active != old_active
         n_added = int((active & ~old_active).sum())
         n_removed = int((~active & old_active).sum())
 
         view = self._build_view()
-        if attr_tol_override is not None:
-            attr_tol = np.asarray(attr_tol_override, dtype=np.float64)
-            # The incremental sorted arrays were not patched with this
-            # day's churn; drop them so a later self-computed day rebuilds.
-            self._attr_sorted = None
-        elif delta is not None and self._prev_tol is not None:
+        if delta is not None and self._prev_tol is not None:
             if self._attr_sorted is None:
                 self._attr_sorted = self._attr_sorted_arrays(old_active)
             self._patch_attr_sorted(old_active, active)

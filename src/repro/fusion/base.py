@@ -52,9 +52,8 @@ SIMILARITY_WINDOW = 12
 #: Weight of a formatting-implied partial vote.
 FORMAT_WEIGHT = 0.5
 
-#: Running count of :class:`FusionProblem` compilations in this process.
-#: Tests use it to assert that scheduler paths which are supposed to be
-#: compile-free in the parent (the view-only shard export) really are.
+#: Running count of :class:`FusionProblem` compilations in this process,
+#: read by profiling harnesses that report how often a run compiles.
 PROBLEM_COMPILES = 0
 
 #: The execution engines the fixed-point solver can run on.
@@ -289,8 +288,8 @@ class FusionProblem:
         """This problem's compiled arrays, repackaged as a kernel result.
 
         The inverse of :meth:`from_compiled` (claim sources are mapped back
-        to view-global codes); used wherever a later compile wants to splice
-        against this one — the nested-prefix sweep compiler, shard merging.
+        to view-global codes); used where a later compile splices against
+        this one — the nested-prefix sweep compiler.
         """
         return CompiledClusters(
             item_index=self._item_index,

@@ -26,8 +26,8 @@ more than the solves.  This module is the layer in between:
   session absorbs them, keeping warm-start state authoritative in the
   parent).
 
-Everything future scale work schedules onto lives here: serving, sharded
-or not, is a plan of raw steps.
+Streaming and serving schedule onto it as raw steps: one job per live
+(shard, method) pair of a day, the unsharded stream being one shard.
 """
 
 from __future__ import annotations

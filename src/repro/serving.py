@@ -16,7 +16,7 @@ module is the read path:
   :class:`~repro.streaming.StreamStep` (the incremental path: each
   :class:`~repro.streaming.StreamRunner` day is delta-compiled by the
   series compiler and republished here; a sharded runner has already
-  merged its shards into one result per method).
+  merged its shard-local results into one result per method).
 * :class:`TruthService` — glue that owns a :class:`StreamRunner` and a
   store: ``ingest(dataset)`` / ``apply(delta)`` advance the runner's warm
   sessions one day and publish the day's results as the next store version.
@@ -57,8 +57,8 @@ def merge_shard_trust(
     ``weights[i][source]`` is shard ``i``'s evidence mass for the source
     (claim counts); without weights every shard's estimate counts equally.
     A source no shard has evidence for falls back to the plain mean of its
-    estimates.  The independent-mode sharded stream
-    (:class:`repro.streaming.StreamRunner`) merges its shards' trust with it.
+    estimates.  The sharded stream (:class:`repro.streaming.StreamRunner`
+    with ``shards=K``) merges its shards' trust with it.
     """
     if weights is not None and len(weights) < len(trusts):
         raise FusionError(
@@ -382,7 +382,8 @@ class TruthService:
     :class:`TruthStore`: every ingested day becomes the next store version,
     so reads stay consistent while the solve of the following day runs.
     One snapshot is a one-day stream: ``TruthService(methods,
-    shards=K).ingest(dataset)`` shards and serves a single corpus.
+    shards=K).ingest(dataset)`` serves a single corpus from K shard-local
+    solves (``shards=1``, the default, is the exact unsharded answer).
     """
 
     def __init__(
@@ -394,7 +395,6 @@ class TruthService:
         workers: int = 0,
         store: Optional[TruthStore] = None,
         shards: int = 1,
-        cross_shard: str = "exact",
     ):
         from repro.streaming import StreamRunner
 
@@ -404,7 +404,6 @@ class TruthService:
             warm_start=warm_start,
             workers=workers,
             shards=shards,
-            cross_shard=cross_shard,
         )
         self.store = store if store is not None else TruthStore()
 

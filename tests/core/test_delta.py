@@ -12,7 +12,12 @@ from repro.errors import SchemaError
 from repro.fusion.base import FusionProblem
 from repro.fusion.registry import make_method
 
-from tests.helpers import build_dataset, claim_tables, value_for
+from tests.helpers import (
+    assert_same_structure,
+    build_dataset,
+    claim_tables,
+    value_for,
+)
 
 METHODS = ("Vote", "AccuSim", "2-Estimates", "TruthFinder")
 
@@ -142,6 +147,35 @@ class TestApplyDelta:
             saw_splice |= not day.stats.full_compile
             assert_problems_equivalent(day, snapshot)
         assert saw_splice  # low churn must take the splice path
+
+    def test_bulk_new_values_match_the_snapshot_compile(self):
+        """One delta interning thousands of fresh values at once.
+
+        The fresh values' str ranks are inserted between the existing ones
+        however many arrive; the day must still be the snapshot compile,
+        bit for bit (value codes compared decoded).
+        """
+        base, compiler, claims, metas = self._seeded()
+        rng = np.random.default_rng(11)
+        added = []
+        for i in range(2600):
+            price = DataItem(f"n{i:04d}", "price")
+            gate = DataItem(f"n{i:04d}", "gate")
+            added += [
+                ("s1", price, Claim(value=round(rng.uniform(1, 1e4), 3))),
+                ("s2", price, Claim(value=round(rng.uniform(1, 1e4), 3))),
+                ("s1", gate, Claim(value=f"G{rng.integers(10**6):06d}")),
+                ("s3", gate, Claim(value=f"A{rng.integers(10**6):06d}")),
+            ]
+        known = {claim.value for claim in claims.values()}
+        fresh = {claim.value for _s, _i, claim in added} - known
+        assert len(fresh) > 4096
+        day = compiler.apply_delta(ClaimDelta(day="d1", added=tuple(added)))
+        for source_id, item, claim in added:
+            claims[(source_id, item)] = claim
+        reference = materialize(base, metas, claims, "d1")
+        assert_same_structure(day.problem(), FusionProblem(reference))
+        assert_problems_equivalent(day, reference)
 
     def test_requires_prior_ingest(self):
         from repro.errors import FusionError

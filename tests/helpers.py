@@ -3,9 +3,10 @@
 ``build_dataset`` turns a compact claim table into a frozen
 :class:`~repro.core.dataset.Dataset`, so tests can express fusion scenarios
 ("three sources say 10, one says 99") in a couple of lines.
-``claim_tables`` draws such tables at random for property tests, and
+``claim_tables`` draws such tables at random for property tests,
 ``assert_problems_bitwise_equal`` pins two compiled problems as
-interchangeable.
+interchangeable, and ``shard_slice`` / ``shard_delta`` cut one shard's
+share out of a snapshot or delta (the stream an independent shard sees).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.attributes import AttributeSpec, AttributeTable, ValueKind
 from repro.core.dataset import Dataset
+from repro.core.delta import ClaimDelta
 from repro.core.gold import GoldStandard
 from repro.core.records import Claim, DataItem, SourceMeta, Value
 
@@ -102,3 +104,56 @@ def assert_problems_bitwise_equal(a, b) -> None:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.items == b.items
     assert a.sources == b.sources
+
+
+#: Value codes depend on interning order; compare them decoded.
+VALUE_CODES = ("_cluster_value_code", "_claim_value_code")
+
+
+def assert_same_structure(ours, base) -> None:
+    """Bitwise :data:`PROBLEM_ARRAYS`, with value codes compared decoded."""
+    for name in PROBLEM_ARRAYS:
+        if name in VALUE_CODES:
+            continue
+        assert np.array_equal(getattr(ours, name), getattr(base, name)), name
+    for name in VALUE_CODES:
+        decoded = [ours._view.values[c] for c in getattr(ours, name).tolist()]
+        expected = [base._view.values[c] for c in getattr(base, name).tolist()]
+        assert decoded == expected, name
+    assert ours.items == base.items
+    assert ours.sources == base.sources
+
+
+def shard_slice(dataset: Dataset, n_shards: int, shard: int) -> Dataset:
+    """One shard's share of a snapshot: every source, its objects' claims.
+
+    Sources keep the dataset's order and claims keep its item order, so an
+    unsharded run over the slice sees what shard ``shard`` of a
+    ``shards=n_shards`` stream sees.
+    """
+    from repro.streaming import shard_of_object
+
+    part = Dataset(
+        domain=dataset.domain, day=dataset.day, attributes=dataset.attributes
+    )
+    for meta in dataset.sources.values():
+        part.add_source(meta)
+    for item, source_id, claim in dataset.iter_claims():
+        if shard_of_object(item.object_id, n_shards) == shard:
+            part.add_claim(source_id, item, claim)
+    return part.freeze()
+
+
+def shard_delta(delta: ClaimDelta, n_shards: int, shard: int) -> ClaimDelta:
+    """One shard's share of a delta (every new source stays declared)."""
+    from repro.streaming import shard_of_object
+
+    def mine(item: DataItem) -> bool:
+        return shard_of_object(item.object_id, n_shards) == shard
+
+    return ClaimDelta(
+        day=delta.day,
+        added=tuple(entry for entry in delta.added if mine(entry[1])),
+        retracted=tuple(entry for entry in delta.retracted if mine(entry[1])),
+        new_sources=delta.new_sources,
+    )

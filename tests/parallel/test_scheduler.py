@@ -198,8 +198,9 @@ class TestViewOnlyExport:
         elif shape == "copy":
             methods = ["AccuCopy"]
         elif shape == "sharded-day":
-            compiler = ShardedStreamCompiler(2, "exact")
-            problem = compiler.ingest(stock.snapshot).problem()
+            # One shard-local day: a union-store view with a claim mask.
+            days = ShardedStreamCompiler(2).ingest(stock.snapshot)
+            problem = days[1].problem()
         bundle, descriptor = _export_problem(
             problem, stock.gold, str(tmp_path), shape, 1,
             with_copy=shape == "copy",

@@ -12,6 +12,7 @@ import pytest
 from repro.cli import main
 from repro.fusion import native
 from repro.io import write_claims_csv, write_gold_csv
+from repro.serving import TruthStore
 
 from tests.helpers import build_dataset, build_gold
 
@@ -427,6 +428,22 @@ class TestServeAndQuery:
         ]) == 0
         assert from_file.read_bytes() == from_dir.read_bytes()
 
+    def test_exact_shards_serve_the_unsharded_store(
+        self, richer_csv, tmp_path, capsys
+    ):
+        """`--shards K` without --approximate asks for the exact answer,
+        which is the unsharded run: the store is the same, byte for byte."""
+        flat, sharded = tmp_path / "flat.json", tmp_path / "sharded.json"
+        methods = ["--method", "Vote", "--method", "AccuSim"]
+        assert main([
+            "serve", str(richer_csv), "--store", str(flat), *methods,
+        ]) == 0
+        assert main([
+            "serve", str(richer_csv), "--store", str(sharded), *methods,
+            "--shards", "3",
+        ]) == 0
+        assert flat.read_bytes() == sharded.read_bytes()
+
     def test_serve_malformed_file_writes_no_store(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,claims,file\n")
@@ -542,6 +559,37 @@ class TestServeListen:
             thread.join(15)
         assert result["code"] == 0
         assert json.loads(store.read_text())["version"] == 2
+
+    def test_interrupt_while_saving_the_last_day_exits_cleanly(
+        self, tmp_path, monkeypatch
+    ):
+        """SIGINT stops a live server even before it reaches the wait."""
+        days = tmp_path / "days"
+        days.mkdir()
+        for index, value in enumerate((10.0, 11.0)):
+            ds = build_dataset(
+                {("s1", "o1", "price"): value, ("s2", "o1", "price"): value},
+                day=f"d{index}",
+            )
+            write_claims_csv(ds, days / f"0{index}.csv")
+        save = TruthStore.save
+
+        def interrupted_save(self, path):
+            if self.version == 2:
+                raise KeyboardInterrupt
+            save(self, path)
+
+        monkeypatch.setattr(TruthStore, "save", interrupted_save)
+        port = self._free_port()
+        store = tmp_path / "store.json"
+        assert main([
+            "serve", str(days), "--method", "Vote", "--store", str(store),
+            "--listen", f"127.0.0.1:{port}",
+            "--listen-for", "30", "--no-request-log",
+        ]) == 0
+        assert json.loads(store.read_text())["version"] == 1
+        with pytest.raises(OSError):
+            self._get(port, "/health")  # the listener was stopped
 
     def test_listen_serves_prebuilt_store_json(self, claims_csv, tmp_path):
         store = tmp_path / "store.json"

@@ -68,14 +68,12 @@ def _serve(days, tmp_path, methods, *extra):
     ])
 
 
-def _reference(days, methods, shards=1, cross_shard="exact", monotonic=False):
+def _reference(days, methods, shards=1, monotonic=False):
     """The snapshot path: every readable file parsed whole and ingested."""
     store = TruthStore(monotonic_days=monotonic)
     seen = []
     store.add_listener(seen.append)
-    with TruthService(
-        list(methods), store=store, shards=shards, cross_shard=cross_shard
-    ) as service:
+    with TruthService(list(methods), store=store, shards=shards) as service:
         for path in sorted(days.glob("*.csv")):
             try:
                 dataset = read_claims_csv(path)
@@ -120,21 +118,22 @@ def stream_days(stock_snapshot, tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "extra, shards, cross_shard",
+    "extra, shards",
     [
-        ((), 1, "exact"),
-        (("--shards", "2"), 2, "exact"),
-        (("--shards", "2", "--approximate"), 2, "independent"),
+        ((), 1),
+        # Without --approximate the exact answer is the unsharded run.
+        (("--shards", "2"), 1),
+        (("--shards", "2", "--approximate"), 2),
     ],
     ids=["flat", "exact-shards", "independent-shards"],
 )
 def test_serve_dir_matches_snapshot_ingest(
-    stream_days, tmp_path, published, snapshot_reads, extra, shards, cross_shard
+    stream_days, tmp_path, published, snapshot_reads, extra, shards
 ):
     assert _serve(stream_days, tmp_path, METHODS, *extra) == 0
     assert len(snapshot_reads) == 1  # every later day was a delta
     _assert_same_versions(
-        published, _reference(stream_days, METHODS, shards, cross_shard)
+        published, _reference(stream_days, METHODS, shards)
     )
     assert [snap.version for snap in published] == list(range(1, 7))
 

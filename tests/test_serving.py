@@ -209,7 +209,7 @@ class TestShardedPublish:
     def test_exact_service_equals_unsharded_publish(self, dataset):
         from repro.fusion.base import FusionProblem
 
-        with TruthService(["Vote"], shards=2) as service:
+        with TruthService(["Vote"], shards=1) as service:
             service.ingest(dataset)
             exact = service.store
         flat = TruthStore()
@@ -220,9 +220,7 @@ class TestShardedPublish:
         assert exact.snapshot().trust == flat.snapshot().trust
 
     def test_independent_service_answers_every_item(self, dataset):
-        with TruthService(
-            ["Vote"], shards=2, cross_shard="independent"
-        ) as service:
+        with TruthService(["Vote"], shards=2) as service:
             service.ingest(dataset)
             store = service.store
         # Every item answered, trust merged over the full source universe.
@@ -237,9 +235,7 @@ class TestShardedPublish:
         from repro.streaming import shard_of_object
 
         n_shards = 3
-        with TruthService(
-            ["AccuSim"], shards=n_shards, cross_shard="independent"
-        ) as service:
+        with TruthService(["AccuSim"], shards=n_shards) as service:
             service.ingest(stock_snapshot)
             trust = service.store.snapshot().trust["AccuSim"]
             by_shard = service.runner.steps[-1].shard_results
@@ -256,18 +252,12 @@ class TestShardedPublish:
         )
         assert trust != merge_shard_trust(shard_trusts)
 
-    @pytest.mark.parametrize(
-        "shards, mode",
-        [(1, "exact"), (2, "exact"), (2, "independent")],
-        ids=["flat", "exact", "independent"],
-    )
+    @pytest.mark.parametrize("shards", [1, 2], ids=["flat", "independent"])
     def test_empty_day_fails_and_leaves_the_store_unchanged(
-        self, dataset, shards, mode
+        self, dataset, shards
     ):
         """A day that retracts every claim raises; nothing is published."""
-        with TruthService(
-            ["Vote", "AccuSim"], shards=shards, cross_shard=mode
-        ) as service:
+        with TruthService(["Vote", "AccuSim"], shards=shards) as service:
             service.ingest(dataset)
             before = service.store.snapshot()
             everything = tuple(
