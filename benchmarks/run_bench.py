@@ -210,12 +210,19 @@ def bench_domain(domain: str, scale: str, repeat: int) -> Dict[str, object]:
         snapshot, gold, SWEEP_METHODS, order, prefix_sizes
     )
     old_s = time.perf_counter() - started
+
+    def new_sweep():
+        return recall_as_sources_added(
+            snapshot, gold, SWEEP_METHODS, ordering=order,
+            prefix_sizes=prefix_sizes, problem=problem,
+        )
+
     started = time.perf_counter()
-    new_curves = recall_as_sources_added(
-        snapshot, gold, SWEEP_METHODS, ordering=order,
-        prefix_sizes=prefix_sizes, problem=problem,
-    )
+    new_curves = new_sweep()
     new_s = time.perf_counter() - started
+    # The ratio keeps its single timed run; the absolute figure is the
+    # best of ``repeat`` runs, counting that first one.
+    best_s = min(new_s, _best_of(repeat - 1, new_sweep))
     curves_equal = all(
         legacy_curves[name] == new_curves[name].recalls
         for name in SWEEP_METHODS
@@ -225,13 +232,14 @@ def bench_domain(domain: str, scale: str, repeat: int) -> Dict[str, object]:
         "prefix_sizes": len(prefix_sizes),
         "legacy_s": old_s,
         "vectorized_s": new_s,
+        "best_s": best_s,
         "speedup": old_s / new_s,
         "curves_equal": curves_equal,
     }
     return report
 
 
-def bench_streaming(domain: str, scale: str) -> Dict[str, object]:
+def bench_streaming(domain: str, scale: str, repeat: int) -> Dict[str, object]:
     """Daily streaming: cold recompile+rerun vs warm delta sessions.
 
     A low-churn stream (``STREAM_CHURN`` of cells touched per day) is
@@ -242,7 +250,10 @@ def bench_streaming(domain: str, scale: str) -> Dict[str, object]:
     one shared delta compilation per day plus warm-started solves.  Both
     run at ``STREAM_TOLERANCE``; per-day selections of a cold-started
     session stream are also checked against the cold path's
-    (``selections_equal`` — the delta-compilation equivalence).
+    (``selections_equal`` — the delta-compilation equivalence).  The warm
+    stream runs ``repeat`` times from scratch: ``warm_per_day_s`` (and the
+    speedup) come from the first pass, ``warm_per_day_best_s`` is the best
+    pass's mean.
     """
     from repro.core.delta import SeriesCompiler
     from repro.datagen import perturbed_claim_stream
@@ -275,28 +286,35 @@ def bench_streaming(domain: str, scale: str) -> Dict[str, object]:
         cold_selections.append(day_sel)
 
     # ---- warm: shared delta compilation + warm-started sessions
-    compiler = SeriesCompiler()
-    sessions = {
-        name: FusionSession(method_for(name), warm_start=True)
-        for name in STREAM_METHODS
-    }
-    started = time.perf_counter()
-    day0 = compiler.ingest(stream.base)
-    problem0 = day0.problem()
-    for name in STREAM_METHODS:
-        sessions[name].step(problem0, day=day0.day)
-    first_day_s = time.perf_counter() - started
-    warm_times, warm_rounds = [], []
-    for delta in stream.deltas:
-        started = time.perf_counter()
-        day = compiler.apply_delta(delta)
-        problem = day.problem()
-        rounds = sum(
-            sessions[name].step(problem, day=day.day).rounds
+    def warm_stream():
+        compiler = SeriesCompiler()
+        sessions = {
+            name: FusionSession(method_for(name), warm_start=True)
             for name in STREAM_METHODS
-        )
-        warm_times.append(time.perf_counter() - started)
-        warm_rounds.append(rounds)
+        }
+        started = time.perf_counter()
+        day0 = compiler.ingest(stream.base)
+        problem0 = day0.problem()
+        for name in STREAM_METHODS:
+            sessions[name].step(problem0, day=day0.day)
+        first_day_s = time.perf_counter() - started
+        times, day_rounds = [], []
+        for delta in stream.deltas:
+            started = time.perf_counter()
+            day = compiler.apply_delta(delta)
+            problem = day.problem()
+            day_rounds.append(sum(
+                sessions[name].step(problem, day=day.day).rounds
+                for name in STREAM_METHODS
+            ))
+            times.append(time.perf_counter() - started)
+        return first_day_s, times, day_rounds
+
+    first_day_s, warm_times, warm_rounds = warm_stream()
+    warm_best_s = min(
+        [float(np.mean(warm_times))]
+        + [float(np.mean(warm_stream()[1])) for _ in range(repeat - 1)]
+    )
 
     # ---- equivalence: cold-started sessions == from-scratch per day
     exact_compiler = SeriesCompiler()
@@ -323,6 +341,7 @@ def bench_streaming(domain: str, scale: str) -> Dict[str, object]:
         "tolerance": STREAM_TOLERANCE,
         "cold_per_day_s": cold_s,
         "warm_per_day_s": warm_s,
+        "warm_per_day_best_s": warm_best_s,
         "speedup": cold_s / warm_s,
         "cold_rounds_per_day": float(np.mean(cold_rounds)),
         "warm_rounds_per_day": float(np.mean(warm_rounds)),
@@ -940,8 +959,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                         choices=("tiny", "small", "default", "paper"))
     parser.add_argument("--output", default="BENCH_fusion.json")
     parser.add_argument("--repeat", type=int, default=3,
-                        help="best-of-N for the compile/detection and "
-                             "sharding timings")
+                        help="best-of-N for the compile/detection, "
+                             "figure9, streaming and sharding timings")
     parser.add_argument("--domains", nargs="+", default=["stock", "flight"])
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the parallel scenario "
@@ -967,7 +986,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     for domain in args.domains:
         print(f"[bench] {domain} @ {args.scale} ...", flush=True)
         domains[domain] = bench_domain(domain, args.scale, args.repeat)
-        domains[domain]["streaming"] = bench_streaming(domain, args.scale)
+        domains[domain]["streaming"] = bench_streaming(
+            domain, args.scale, args.repeat
+        )
         domains[domain]["engines"] = bench_engines(
             domain, args.scale, args.engine, args.repeat
         )
@@ -1075,6 +1096,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         ),
         "streaming_speedup_min": min(
             domains[d]["streaming"]["speedup"] for d in domains
+        ),
+        # Absolute best-of-N seconds, worst domain; recorded, not gated.
+        "figure9_sweep_s_max": max(
+            domains[d]["figure9_sweep"]["best_s"] for d in domains
+        ),
+        "compile_warm_s_max": max(
+            domains[d]["compile"]["vectorized_warm_s"] for d in domains
+        ),
+        "streaming_warm_per_day_s_max": max(
+            domains[d]["streaming"]["warm_per_day_best_s"] for d in domains
         ),
     }
     if args.workers > 1:

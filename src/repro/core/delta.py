@@ -34,10 +34,11 @@ Two entry points produce a :class:`DayCompilation`:
   (pays one pass over the day's columnar view);
 * :meth:`SeriesCompiler.apply_delta` — apply an explicit
   :class:`ClaimDelta` (added/retracted claims, new sources) when the
-  upstream feed already knows what changed.  This path is fully
-  incremental: sorted value ranks, per-attribute tolerance medians, and
-  the pairwise copy-detection overlap counts are all patched rather than
-  recomputed, so its cost scales with the delta.
+  upstream feed already knows what changed.  Sorted value ranks and the
+  pairwise copy-detection overlap counts are patched rather than
+  recomputed; both entry points take the day's Equation-(3) tolerances
+  from :func:`~repro.core.columnar.compute_tolerances` over the active
+  claims, the one median implementation.
 """
 
 from __future__ import annotations
@@ -48,11 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.attributes import (
-    TIME_TOLERANCE_MINUTES,
-    AttributeTable,
-    ValueKind,
-)
+from repro.core.attributes import AttributeTable
 from repro.core.columnar import (
     ColumnarView,
     CompiledClusters,
@@ -373,15 +370,8 @@ class DayCompilation:
 class SeriesCompiler:
     """Incremental compiler for a stream of daily snapshots of one domain."""
 
-    def __init__(
-        self,
-        track_copy_structures: bool = False,
-        full_compile_threshold: float = FULL_COMPILE_THRESHOLD,
-        max_inactive_ratio: float = DEFAULT_MAX_INACTIVE_RATIO,
-    ):
+    def __init__(self, track_copy_structures: bool = False):
         self.track_copy_structures = track_copy_structures
-        self.full_compile_threshold = full_compile_threshold
-        self.max_inactive_ratio = max_inactive_ratio
 
         self._attributes: Optional[AttributeTable] = None
         self._attr_names: List[str] = []
@@ -415,10 +405,6 @@ class SeriesCompiler:
         # Key lookup index: keys in sorted order + their store positions.
         self._key_sorted = np.zeros(0, dtype=np.int64)
         self._key_pos = np.zeros(0, dtype=np.int64)
-
-        # Per-numeric-attribute sorted |value| arrays of the active claims,
-        # built lazily for the incremental-median tolerance path.
-        self._attr_sorted: Optional[List[Optional[np.ndarray]]] = None
 
         self._prev_tol: Optional[np.ndarray] = None
         self._prev_compiled: Optional[CompiledClusters] = None
@@ -745,9 +731,8 @@ class SeriesCompiler:
             pos = self._lookup(keys)  # new claims are now present
         active = np.zeros(len(self._s_key), dtype=bool)
         active[pos] = True
-        self._attr_sorted = None  # ingest recomputes tolerances wholesale
         return self._finish_day(
-            dataset.day, active, old_active, list(view.sources), None, started
+            dataset.day, active, old_active, list(view.sources), started
         )
 
     def apply_delta(self, delta: ClaimDelta) -> DayCompilation:
@@ -838,75 +823,7 @@ class SeriesCompiler:
                 )
                 pos = self._lookup(keys)
             active[pos] = True
-        return self._finish_day(
-            delta.day, active, old_active, declared, delta, started
-        )
-
-    # ------------------------------------------------------------ tolerances
-    def _attr_sorted_arrays(self, active: np.ndarray) -> List[Optional[np.ndarray]]:
-        """Sorted |value| arrays of the active claims, per numeric attribute."""
-        arrays: List[Optional[np.ndarray]] = []
-        item_attr = np.asarray(self._item_attr_list, dtype=np.int64)
-        claim_attr = item_attr[self._s_item]
-        for code, spec in enumerate(self._attr_specs):
-            if spec.kind.is_numeric and spec.kind is not ValueKind.TIME:
-                bucket = self._value_numeric[
-                    self._s_val[active & (claim_attr == code)]
-                ]
-                bucket = np.abs(bucket[~np.isnan(bucket)])
-                bucket.sort()
-                arrays.append(bucket)
-            else:
-                arrays.append(None)
-        return arrays
-
-    def _patch_attr_sorted(
-        self, old_active: np.ndarray, active: np.ndarray
-    ) -> None:
-        """Apply the day's claim churn to the per-attribute sorted arrays."""
-        changed = np.flatnonzero(old_active != active)
-        if not len(changed):
-            return
-        item_attr = np.asarray(self._item_attr_list, dtype=np.int64)
-        attrs = item_attr[self._s_item[changed]]
-        numeric = self._value_numeric[self._s_val[changed]]
-        added = active[changed]
-        for code in np.unique(attrs).tolist():
-            arr = self._attr_sorted[code]
-            if arr is None:
-                continue
-            sel = attrs == code
-            vals = np.abs(numeric[sel])
-            adds = np.sort(vals[added[sel] & ~np.isnan(vals)])
-            drops = np.sort(vals[~added[sel] & ~np.isnan(vals)])
-            if len(drops):
-                idx = np.searchsorted(arr, drops, side="left")
-                # Duplicates in `drops` must map to distinct positions.
-                offs, _ = _run_offsets(drops)
-                arr = np.delete(arr, idx + offs)
-            if len(adds):
-                arr = np.insert(arr, np.searchsorted(arr, adds), adds)
-            self._attr_sorted[code] = arr
-
-    def _tolerances_from_sorted(self) -> np.ndarray:
-        """Equation (3) per attribute from the maintained sorted arrays."""
-        tolerances = np.zeros(len(self._attr_specs), dtype=np.float64)
-        for code, spec in enumerate(self._attr_specs):
-            if spec.kind is ValueKind.TIME:
-                tolerances[code] = TIME_TOLERANCE_MINUTES
-            elif spec.kind.is_numeric:
-                arr = self._attr_sorted[code]
-                if arr is not None and len(arr):
-                    mid = len(arr) // 2
-                    if len(arr) % 2:
-                        median = float(arr[mid])
-                    else:
-                        # Match np.median exactly: mean of the two middles.
-                        median = float(
-                            np.mean(arr[mid - 1: mid + 1])
-                        )
-                    tolerances[code] = spec.tolerance_factor * median
-        return tolerances
+        return self._finish_day(delta.day, active, old_active, declared, started)
 
     # ----------------------------------------------------------- compilation
     def _finish_day(
@@ -915,7 +832,6 @@ class SeriesCompiler:
         active: np.ndarray,
         old_active: np.ndarray,
         declared_sources: List[str],
-        delta: Optional[ClaimDelta],
         started: float,
     ) -> DayCompilation:
         changed = active != old_active
@@ -923,13 +839,7 @@ class SeriesCompiler:
         n_removed = int((~active & old_active).sum())
 
         view = self._build_view()
-        if delta is not None and self._prev_tol is not None:
-            if self._attr_sorted is None:
-                self._attr_sorted = self._attr_sorted_arrays(old_active)
-            self._patch_attr_sorted(old_active, active)
-            attr_tol = self._tolerances_from_sorted()
-        else:
-            attr_tol = compute_tolerances(view, active)
+        attr_tol = compute_tolerances(view, active)
 
         n_items = len(self._items)
         dirty = np.zeros(n_items, dtype=bool)
@@ -954,7 +864,7 @@ class SeriesCompiler:
         full = (
             self._prev_compiled is None
             or n_touched == 0
-            or (n_dirty / max(n_touched, 1)) > self.full_compile_threshold
+            or (n_dirty / max(n_touched, 1)) > FULL_COMPILE_THRESHOLD
         )
         if full:
             compiled = compile_clusters(view, attr_tol, active)
@@ -1054,7 +964,7 @@ class SeriesCompiler:
         active = self._active
         n_active = int(active.sum())
         n_inactive = len(active) - n_active
-        if n_inactive <= self.max_inactive_ratio * max(n_active, 1):
+        if n_inactive <= DEFAULT_MAX_INACTIVE_RATIO * max(n_active, 1):
             return False
 
         keep = np.flatnonzero(active)

@@ -86,8 +86,6 @@ def recall_as_sources_added(
         gold=gold,
         workers=workers,
         scheduler=scheduler,
-        evaluate=True,
-        return_selection=False,
     )
     return {
         name: RecallCurve(

@@ -78,8 +78,6 @@ def _subset_recalls(
         gold=gold,
         workers=workers,
         scheduler=scheduler,
-        evaluate=True,
-        return_selection=False,
     )
     return [row[0].recall or 0.0 for row in rows]
 

@@ -3,13 +3,13 @@
 Runs every method on every daily snapshot and reports, per method, the
 average, minimum, and standard deviation of the daily precision.
 
-The sweep runs on **fusion sessions** by default: the day's claims are
-diff-compiled against the previous day's universe
+The days stream through a :class:`~repro.streaming.StreamRunner`: each
+day's claims are diff-compiled against the previous day's universe
 (:class:`~repro.core.delta.SeriesCompiler`) instead of recompiled from
 scratch, and one compiled problem is shared by all methods.  With the
 default ``warm_start=False`` every day still cold-starts the fixed point,
 so the selections — and therefore every Table 9 number — are identical to
-the legacy per-day rebuild (``engine="cold"``, kept for comparison);
+running each method on a fresh ``FusionProblem(snapshot)``;
 ``warm_start=True`` additionally resumes each method from the previous
 day's converged trust, trading bit-equality for fewer rounds.
 """
@@ -22,10 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.dataset import DatasetSeries
 from repro.core.gold import GoldStandard
-from repro.errors import FusionError
 from repro.evaluation.metrics import evaluate
-from repro.fusion.base import FusionProblem
-from repro.fusion.registry import make_method
 
 
 @dataclass
@@ -60,7 +57,6 @@ def precision_over_time(
     method_names: Sequence[str],
     days: Optional[Sequence[str]] = None,
     method_kwargs: Optional[Dict[str, dict]] = None,
-    engine: str = "session",
     warm_start: bool = False,
     workers: int = 0,
 ) -> Dict[str, PrecisionSeries]:
@@ -70,42 +66,23 @@ def precision_over_time(
     but with ``workers > 1`` the methods within each day solve in parallel
     through the stream runner's scheduler — identical numbers either way.
     """
-    if engine not in ("session", "cold"):
-        raise FusionError(f"unknown timeseries engine {engine!r}")
+    from repro.streaming import StreamRunner
+
     wanted_days = set(days) if days is not None else None
     per_method: Dict[str, PrecisionSeries] = {
         name: PrecisionSeries(method=name, days=[], precisions=[])
         for name in method_names
     }
-    runner = None
-    if engine == "session":
-        from repro.streaming import StreamRunner
-
-        runner = StreamRunner(
-            method_names, method_kwargs, warm_start=warm_start,
-            workers=workers,
-        )
-    try:
+    with StreamRunner(
+        method_names, method_kwargs, warm_start=warm_start, workers=workers
+    ) as runner:
         for snapshot in series:
             if wanted_days is not None and snapshot.day not in wanted_days:
                 continue
             gold = gold_by_day[snapshot.day]
-            if runner is not None:
-                step = runner.push(snapshot)
-                results = step.results
-            else:
-                problem = FusionProblem(snapshot)
-                results = {
-                    name: make_method(
-                        name, **(method_kwargs or {}).get(name, {})
-                    ).run(problem)
-                    for name in method_names
-                }
+            results = runner.push(snapshot).results
             for name in method_names:
                 score = evaluate(snapshot, gold, results[name])
                 per_method[name].days.append(snapshot.day)
                 per_method[name].precisions.append(score.precision)
-    finally:
-        if runner is not None:
-            runner.close()
     return per_method

@@ -52,15 +52,15 @@ def run(
     ctx: ExperimentContext,
     method_names: Sequence[str] = METHOD_NAMES,
     max_days: Optional[int] = 8,
-    engine: str = "session",
     warm_start: bool = False,
 ) -> Table9Result:
     """Run every method on (a stride of) the daily snapshots.
 
     ``max_days`` bounds the number of fused days (evenly strided across the
     period); pass ``None`` for the full month.  Days stream through fusion
-    sessions by default (identical numbers, shared delta compilation);
-    ``warm_start=True`` additionally carries trust across days.
+    sessions (shared delta compilation, the same numbers as a fresh
+    per-day compile); ``warm_start=True`` additionally carries trust
+    across days.
     """
     series: Dict[str, Dict[str, PrecisionSeries]] = {}
     for domain in ctx.domains:
@@ -73,7 +73,7 @@ def run(
             days = None
         series[domain] = precision_over_time(
             collection.series, collection.gold_by_day, method_names, days=days,
-            engine=engine, warm_start=warm_start, workers=ctx.workers,
+            warm_start=warm_start, workers=ctx.workers,
         )
     return Table9Result(series=series)
 

@@ -18,7 +18,7 @@ from repro.fusion.bayesian import (
     TruthFinder,
 )
 from repro.fusion.copy_aware import AccuCopy
-from repro.fusion.batch import RestrictionSweep, solve_restrictions
+from repro.fusion.batch import RestrictionSweep
 from repro.fusion.ensemble import (
     ensemble_of_methods,
     ensemble_vote,
@@ -64,7 +64,6 @@ __all__ = [
     "TruthFinder",
     "AccuCopy",
     "RestrictionSweep",
-    "solve_restrictions",
     "ensemble_of_methods",
     "ensemble_vote",
     "precision_weighted_ensemble",

@@ -284,26 +284,6 @@ class FusionProblem:
         )
         return problem
 
-    def compiled_clusters(self) -> CompiledClusters:
-        """This problem's compiled arrays, repackaged as a kernel result.
-
-        The inverse of :meth:`from_compiled` (claim sources are mapped back
-        to view-global codes); used where a later compile splices against
-        this one — the nested-prefix sweep compiler.
-        """
-        return CompiledClusters(
-            item_index=self._item_index,
-            item_attr=self.item_attr,
-            item_start=self.item_start,
-            cluster_item=self.cluster_item,
-            cluster_value=self._cluster_value_code,
-            cluster_support=self.cluster_support,
-            claim_source=self._source_codes[self.claim_source],
-            claim_cluster=self.claim_cluster,
-            claim_value=self._claim_value_code,
-            claim_granularity=self._claim_granularity,
-        )
-
     def spec(self, attribute: str) -> AttributeSpec:
         return self._attr_specs[self.attr_index[attribute]]
 

@@ -19,12 +19,12 @@ more than the solves.  This module is the layer in between:
   without POSIX shared memory — the same job-execution code runs inline,
   so serial and parallel schedules are bit-identical by construction.
 * Job shapes cover the big consumers: plain method runs (method
-  comparisons, ensembles), source-restricted runs and *sweeps*
-  (Figure 9 / greedy selection; each worker chunk compiles its
-  restrictions once and solves every method on them), and *raw* session steps
-  (streaming: the worker returns trust + selected indices and the parent
-  session absorbs them, keeping warm-start state authoritative in the
-  parent).
+  comparisons, ensembles), *sweeps* (Figure 9 / greedy selection; each
+  worker chunk compiles its restrictions once, solves every method on them
+  and scores the raw selections against the registered gold standard), and
+  *raw* session steps (streaming: the worker returns trust + selected
+  indices and the parent session absorbs them, keeping warm-start state
+  authoritative in the parent).
 
 Streaming and serving schedule onto it as raw steps: one job per live
 (shard, method) pair of a day, the unsharded stream being one shard.
@@ -52,7 +52,7 @@ from repro.core.shm import (
 )
 from repro.errors import FusionError
 from repro.fusion.base import FusionProblem, FusionResult
-from repro.fusion.batch import RestrictionOutcome
+from repro.fusion.batch import GoldScorer, RestrictionSweep
 from repro.fusion.registry import make_method
 from repro.fusion.spec import MethodSpec, run_fixed_point
 
@@ -94,23 +94,18 @@ class MethodCall:
 class SolveJob:
     """One schedulable unit: method calls against one registered problem.
 
-    ``sources`` restricts the problem (the worker carves the restriction
-    from the shared view); ``subsets`` turns the job into a sweep — every
-    call runs on every subset through one
-    :class:`repro.fusion.batch.RestrictionSweep`.  ``raw=True`` returns
-    trust/selection arrays instead of packaged results (the streaming
-    protocol).  ``evaluate`` scores outcomes against the problem's
-    registered gold standard inside the worker.
+    ``subsets`` turns the job into a sweep — every call runs on every
+    subset through one :class:`repro.fusion.batch.RestrictionSweep`, and
+    the outcomes carry trust arrays, rounds and, when the problem was
+    registered with a gold standard, precision and recall.  Otherwise each
+    call runs on the whole problem; ``raw=True`` returns trust/selection
+    arrays instead of packaged results (the streaming protocol).
     """
 
     problem: str
     calls: List[MethodCall]
-    sources: Optional[List[str]] = None
     subsets: Optional[List[List[str]]] = None
     raw: bool = False
-    evaluate: bool = False
-    return_selection: bool = True
-    tag: object = None
 
 
 @dataclass
@@ -134,7 +129,6 @@ class CallOutcome:
 class JobOutcome:
     """A job's outcomes, shaped like the job (calls, or subsets x calls)."""
 
-    tag: object = None
     calls: Optional[List[CallOutcome]] = None
     sweep: Optional[List[List[CallOutcome]]] = None
 
@@ -291,16 +285,6 @@ def _worker_execute(descriptor: ProblemDescriptor, job: SolveJob) -> JobOutcome:
 # Job execution (shared by workers and the serial fallback)
 # --------------------------------------------------------------------------
 
-def _score(outcome: CallOutcome, matcher, gold, result) -> None:
-    from repro.evaluation.metrics import evaluate
-
-    if gold is None or result is None or matcher is None:
-        return
-    scored = evaluate(matcher, gold, result)
-    outcome.precision = scored.precision
-    outcome.recall = scored.recall
-
-
 def _run_call(
     problem: FusionProblem, call: MethodCall, raw: bool
 ) -> CallOutcome:
@@ -332,85 +316,44 @@ def _run_call(
     return outcome
 
 
-def _strip_selection(outcome: CallOutcome) -> CallOutcome:
-    if outcome.result is not None:
-        outcome.result.selected = {}
-    return outcome
-
-
 def _execute_sweep(
     problem: FusionProblem, gold: Optional[GoldStandard], job: SolveJob
 ) -> JobOutcome:
-    from repro.fusion.batch import GoldScorer, RestrictionSweep
-
-    subsets = job.subsets or []
-    rows: List[List[Optional[CallOutcome]]] = [
-        [None] * len(job.calls) for _ in subsets
-    ]
-
-    def record(c: int, s: int, restriction: RestrictionOutcome) -> None:
-        call = job.calls[c]
-        outcome = CallOutcome(
-            method=call.method, tag=call.tag, empty=restriction.empty
-        )
-        if restriction.empty:
-            outcome.recall = 0.0
-            outcome.precision = 0.0
-        elif restriction.result is None:
-            # Raw outcome: score the selection arrays directly.
-            outcome.rounds = restriction.rounds
-            outcome.converged = restriction.converged
-            outcome.trust = restriction.trust_array
-            if scorer is not None:
-                outcome.precision, outcome.recall = scorer.score(
-                    restriction.matcher, restriction.selected_local
-                )
-        else:
-            outcome.result = restriction.result
-            outcome.rounds = restriction.result.rounds
-            outcome.converged = restriction.result.converged
-            outcome.runtime_seconds = restriction.result.runtime_seconds
-            if job.evaluate:
-                _score(outcome, restriction.matcher, gold, restriction.result)
-            if not job.return_selection:
-                _strip_selection(outcome)
-        rows[s][c] = outcome
-
     # Restrictions are compiled once and shared by every method of the
-    # sweep.  When the caller wants scores but no selections, solves stay
-    # in array form end to end (GoldScorer), never materializing per-item
-    # dicts.
-    sweep = RestrictionSweep(problem, subsets)
-    raw = not job.return_selection and not job.raw
-    scorer = (
-        GoldScorer(problem, gold) if raw and job.evaluate and gold is not None
-        else None
-    )
-    for c, call in enumerate(job.calls):
+    # sweep; solves stay in array form end to end (GoldScorer), never
+    # materializing per-item dicts.
+    sweep = RestrictionSweep(problem, job.subsets)
+    scorer = GoldScorer(problem, gold) if gold is not None else None
+    rows: List[List[CallOutcome]] = [[] for _ in job.subsets]
+    for call in job.calls:
         method = make_method(call.method, **call.kwargs)
-        outcomes = sweep.solve(method, package=not raw)
-        for s, restriction in enumerate(outcomes):
-            record(c, s, restriction)
-    return JobOutcome(tag=job.tag, sweep=rows)
+        for row, restriction in zip(rows, sweep.solve(method)):
+            outcome = CallOutcome(
+                method=call.method, tag=call.tag, empty=restriction.empty
+            )
+            if restriction.empty:
+                outcome.recall = 0.0
+                outcome.precision = 0.0
+            else:
+                outcome.rounds = restriction.rounds
+                outcome.converged = restriction.converged
+                outcome.trust = restriction.trust_array
+                if scorer is not None:
+                    outcome.precision, outcome.recall = scorer.score(
+                        restriction.matcher, restriction.selected_local
+                    )
+            row.append(outcome)
+    return JobOutcome(sweep=rows)
 
 
 def _execute_job(
     problem: FusionProblem, gold: Optional[GoldStandard], job: SolveJob
 ) -> JobOutcome:
-    target = problem
     if job.subsets is not None:
-        return _execute_sweep(target, gold, job)
-    if job.sources is not None:
-        target = target.restrict_sources(job.sources)
-    outcomes = []
-    for call in job.calls:
-        outcome = _run_call(target, call, job.raw)
-        if job.evaluate and not job.raw:
-            _score(outcome, target, gold, outcome.result)
-        if not job.return_selection and not job.raw:
-            _strip_selection(outcome)
-        outcomes.append(outcome)
-    return JobOutcome(tag=job.tag, calls=outcomes)
+        return _execute_sweep(problem, gold, job)
+    return JobOutcome(
+        calls=[_run_call(problem, call, job.raw) for call in job.calls]
+    )
 
 
 # --------------------------------------------------------------------------
@@ -612,7 +555,6 @@ def solve_methods(
     workers: int = 0,
     scheduler: Optional[SolveScheduler] = None,
     key: Optional[str] = None,
-    evaluate: bool = False,
     method_kwargs: Optional[Dict[str, dict]] = None,
     engine: Optional[str] = None,
 ) -> List[CallOutcome]:
@@ -627,12 +569,8 @@ def solve_methods(
             key, problem, gold=gold, with_copy=_uses_copy_detection(plan)
         )
         if not sched.parallel:
-            job = SolveJob(problem=key, calls=plan, evaluate=evaluate)
-            return sched.run([job])[0].calls
-        jobs = [
-            SolveJob(problem=key, calls=[call], evaluate=evaluate)
-            for call in plan
-        ]
+            return sched.run([SolveJob(problem=key, calls=plan)])[0].calls
+        jobs = [SolveJob(problem=key, calls=[call]) for call in plan]
         return [outcome.calls[0] for outcome in sched.run(jobs)]
     finally:
         if own is not None:
@@ -648,13 +586,12 @@ def solve_sweep(
     workers: int = 0,
     scheduler: Optional[SolveScheduler] = None,
     key: Optional[str] = None,
-    evaluate: bool = True,
-    return_selection: bool = False,
     engine: Optional[str] = None,
 ) -> List[List[CallOutcome]]:
     """Solve every (subset, call) pair; returns subset-major outcomes.
 
-    Subsets are strided across the worker chunks (a prefix sweep's small
+    Outcomes are raw (trust arrays, rounds) and carry precision and recall
+    when ``gold`` is given.  Subsets are strided across the worker chunks (a prefix sweep's small
     and large prefixes interleave, balancing the chunks) and each chunk
     compiles its restrictions once for all of ``calls``.
     """
@@ -669,11 +606,7 @@ def solve_sweep(
             key, problem, gold=gold, with_copy=_uses_copy_detection(plan)
         )
         if not sched.parallel or len(subset_lists) < 2:
-            job = SolveJob(
-                problem=key, calls=plan, subsets=subset_lists,
-                evaluate=evaluate,
-                return_selection=return_selection,
-            )
+            job = SolveJob(problem=key, calls=plan, subsets=subset_lists)
             return sched.run([job])[0].sweep
         n_chunks = min(sched.workers, len(subset_lists))
         chunk_indices = [
@@ -684,8 +617,6 @@ def solve_sweep(
                 problem=key,
                 calls=plan,
                 subsets=[subset_lists[i] for i in indices],
-                evaluate=evaluate,
-                return_selection=return_selection,
             )
             for indices in chunk_indices
         ]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import delta as delta_mod
 from repro.core.dataset import Dataset
 from repro.core.delta import ClaimDelta, SeriesCompiler, splice_compiled
 from repro.core.records import Claim, DataItem, SourceMeta
@@ -52,13 +53,16 @@ def materialize(base, sources, claims, day):
 
 class TestIngestEquivalence:
     @pytest.mark.parametrize("threshold", [0.5, 2.0])
-    def test_generated_series_all_days(self, flight_collection, threshold):
+    def test_generated_series_all_days(
+        self, flight_collection, threshold, monkeypatch
+    ):
         """Every day of a generated series fuses identically to cold compiles.
 
         ``threshold=2.0`` forces the splice path even on the high-churn
         generated data; ``0.5`` exercises the full-compile fallback.
         """
-        compiler = SeriesCompiler(full_compile_threshold=threshold)
+        monkeypatch.setattr(delta_mod, "FULL_COMPILE_THRESHOLD", threshold)
+        compiler = SeriesCompiler()
         saw_splice = False
         for snapshot in flight_collection.series:
             day = compiler.ingest(snapshot)
@@ -67,8 +71,11 @@ class TestIngestEquivalence:
         if threshold > 1.0:
             assert saw_splice
 
-    def test_compaction_preserves_equivalence(self, flight_collection):
-        compiler = SeriesCompiler(max_inactive_ratio=0.1)
+    def test_compaction_preserves_equivalence(
+        self, flight_collection, monkeypatch
+    ):
+        monkeypatch.setattr(delta_mod, "DEFAULT_MAX_INACTIVE_RATIO", 0.1)
+        compiler = SeriesCompiler()
         compacted = False
         for snapshot in flight_collection.series:
             day = compiler.ingest(snapshot)
@@ -273,11 +280,12 @@ class TestDeltaProperties:
 
 
 class TestCopyCountTracking:
-    def test_pair_counts_match_from_scratch(self, flight_collection):
+    def test_pair_counts_match_from_scratch(
+        self, flight_collection, monkeypatch
+    ):
         """Incrementally patched same/shared == freshly computed products."""
-        compiler = SeriesCompiler(
-            track_copy_structures=True, full_compile_threshold=2.0
-        )
+        monkeypatch.setattr(delta_mod, "FULL_COMPILE_THRESHOLD", 2.0)
+        compiler = SeriesCompiler(track_copy_structures=True)
         for snapshot in flight_collection.series:
             day = compiler.ingest(snapshot)
             problem = day.problem()

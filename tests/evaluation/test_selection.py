@@ -67,3 +67,27 @@ class TestPrefixSelection:
         # The paper's finding: a small prefix beats fusing all sources.
         assert len(result.selected) <= 12
         assert result.recall >= result.all_sources_recall - 0.02
+
+
+class TestGreedySiblingRecalls:
+    """One greedy round's sibling subsets, solved as one sweep."""
+
+    @pytest.mark.parametrize("domain", ["stock", "flight"])
+    @pytest.mark.parametrize("picked", [0, 2])
+    def test_sweep_recalls_equal_one_at_a_time(self, domain, picked):
+        from repro.evaluation.ordering import sources_by_recall
+        from repro.evaluation.selection import _fusion_recall, _subset_recalls
+        from repro.experiments.context import get_context
+
+        context = get_context("tiny")
+        collection = context.collection(domain)
+        base = context.problem(domain)
+        order = sources_by_recall(collection.snapshot, collection.gold)
+        selected, pool = order[:picked], order[picked:]
+        siblings = [selected + [candidate] for candidate in pool]
+        for method in ("Vote", "AccuSim"):
+            recalls = _subset_recalls(base, collection.gold, siblings, method)
+            assert recalls == [
+                _fusion_recall(base, collection.gold, subset, method)
+                for subset in siblings
+            ], method

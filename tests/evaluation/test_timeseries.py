@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.evaluation.metrics import evaluate
 from repro.evaluation.timeseries import PrecisionSeries, precision_over_time
+from repro.fusion.base import FusionProblem
+from repro.fusion.registry import make_method
 
 
 class TestPrecisionSeries:
@@ -67,13 +70,14 @@ class TestPrecisionOverTime:
         streamed = precision_over_time(
             flight_collection.series, flight_collection.gold_by_day, names,
         )
-        cold = precision_over_time(
-            flight_collection.series, flight_collection.gold_by_day, names,
-            engine="cold",
-        )
         for name in names:
-            assert streamed[name].days == cold[name].days
-            assert streamed[name].precisions == cold[name].precisions
+            cold = []
+            for snapshot in flight_collection.series:
+                result = make_method(name).run(FusionProblem(snapshot))
+                gold = flight_collection.gold_by_day[snapshot.day]
+                cold.append(evaluate(snapshot, gold, result).precision)
+            assert streamed[name].days == flight_collection.series.days
+            assert streamed[name].precisions == cold, name
 
     def test_warm_start_produces_sane_series(self, flight_collection):
         result = precision_over_time(
@@ -85,14 +89,3 @@ class TestPrecisionOverTime:
         series = result["AccuPr"]
         assert len(series.precisions) == len(flight_collection.series)
         assert all(0.0 <= p <= 1.0 for p in series.precisions)
-
-    def test_rejects_unknown_engine(self, flight_collection):
-        from repro.errors import FusionError
-
-        with pytest.raises(FusionError):
-            precision_over_time(
-                flight_collection.series,
-                flight_collection.gold_by_day,
-                ["Vote"],
-                engine="quantum",
-            )

@@ -6,7 +6,7 @@ import pytest
 from repro.evaluation.metrics import evaluate
 from repro.evaluation.ordering import sources_by_recall
 from repro.fusion.base import FusionProblem
-from repro.fusion.batch import GoldScorer, RestrictionSweep, solve_restrictions
+from repro.fusion.batch import GoldScorer, RestrictionSweep
 from repro.fusion.registry import METHOD_NAMES, make_method
 from repro.fusion.spec import MethodSpec
 
@@ -47,24 +47,21 @@ class TestSweepEqualsOneShot:
     @pytest.mark.parametrize("name", METHOD_NAMES)
     def test_every_method_is_bit_identical(self, problem, prefixes, sweep, name):
         spec = MethodSpec.of(make_method(name))
-        packaged = sweep.solve(make_method(name))
-        raw = sweep.solve(make_method(name), package=False)
-        for subset, done, bare in zip(prefixes, packaged, raw):
+        raw = sweep.solve(make_method(name))
+        for subset, bare in zip(prefixes, raw):
             reference = make_method(name).run(problem.restrict_sources(subset))
-            assert done.sources == bare.sources == list(reference.trust)
-            assert not done.empty and not bare.empty
-            assert bare.result is None
+            assert bare.sources == list(reference.trust)
+            assert not bare.empty
             # The raw arrays package to exactly the one-shot result.
-            unpacked = spec.package(
+            result = spec.package(
                 bare.matcher, {"trust": bare.trust_array},
                 bare.selected_local, bare.rounds, bare.converged, 0.0,
             )
-            for result in (done.result, unpacked):
-                assert result.selected == reference.selected, len(subset)
-                assert result.rounds == reference.rounds, len(subset)
-                assert result.converged == reference.converged, len(subset)
-                assert result.trust == reference.trust, len(subset)
-                assert result.attr_trust == reference.attr_trust, len(subset)
+            assert result.selected == reference.selected, len(subset)
+            assert result.rounds == reference.rounds, len(subset)
+            assert result.converged == reference.converged, len(subset)
+            assert result.trust == reference.trust, len(subset)
+            assert result.attr_trust == reference.attr_trust, len(subset)
 
 
 class TestGoldScorer:
@@ -84,123 +81,110 @@ class TestGoldScorer:
     @pytest.mark.parametrize("name", METHOD_NAMES)
     def test_score_equals_evaluate(self, domain, name):
         gold, scorer, sweep = domain
-        packaged = sweep.solve(make_method(name))
-        raw = sweep.solve(make_method(name), package=False)
-        for done, bare in zip(packaged, raw):
-            expected = evaluate(done.matcher, gold, done.result)
+        for bare in sweep.solve(make_method(name)):
+            reference = make_method(name).run(bare.matcher)
+            expected = evaluate(bare.matcher, gold, reference)
             assert scorer.score(bare.matcher, bare.selected_local) == (
                 expected.precision, expected.recall
-            ), len(done.sources)
+            ), len(bare.sources)
 
 
-class TestPrefixDeltaCompile:
-    """Nested prefixes delta-compile instead of re-bucketing from scratch."""
+def _sparse_base():
+    # Two broad sources plus four sparse ones: each prefix step touches
+    # only a few items.
+    claims = {}
+    for o in range(30):
+        claims[("s1", f"o{o}", "price")] = 10.0 + o
+        claims[("s2", f"o{o}", "price")] = 10.0 + o
+        claims[("s1", f"o{o}", "gate")] = f"G{o % 4}"
+    for j, source in enumerate(("s3", "s4", "s5", "s6")):
+        for o in range(3 * j, 3 * j + 3):
+            claims[(source, f"o{o}", "gate")] = f"G{(o + 1) % 4}"
+    return FusionProblem(build_dataset(claims))
 
-    @pytest.fixture(scope="class")
-    def sparse_base(self):
-        # Two broad sources plus four sparse ones: each prefix step dirties
-        # only a few items, so the splice path pays and must engage.
-        claims = {}
-        for o in range(30):
-            claims[("s1", f"o{o}", "price")] = 10.0 + o
-            claims[("s2", f"o{o}", "price")] = 10.0 + o
-            claims[("s1", f"o{o}", "gate")] = f"G{o % 4}"
-        for j, source in enumerate(("s3", "s4", "s5", "s6")):
-            for o in range(3 * j, 3 * j + 3):
-                claims[(source, f"o{o}", "gate")] = f"G{(o + 1) % 4}"
-        return FusionProblem(build_dataset(claims))
 
-    @pytest.fixture(scope="class")
-    def chain(self):
-        order = ["s1", "s2", "s3", "s4", "s5", "s6"]
-        return [order[:size] for size in range(2, 7)]
+SPARSE_CHAIN = [["s1", "s2", "s3", "s4", "s5", "s6"][:size] for size in range(2, 7)]
 
-    def test_delta_compiled_prefixes_are_bitwise_restrictions(
-        self, sparse_base, chain
-    ):
-        sweep = RestrictionSweep(sparse_base, chain)
-        assert sweep.delta_compiles >= len(chain) - 2
-        for subset, sub in zip(chain, sweep.subs):
-            reference = sparse_base.restrict_sources(subset)
+
+def _tolerance_shift_case():
+    # s7 skews the price median, so the second prefix re-grids every
+    # price item; s8 never joins, so no subset is a full cover.
+    claims = {}
+    for o in range(20):
+        claims[("s1", f"o{o}", "price")] = 10.0 + o
+        claims[("s2", f"o{o}", "price")] = 10.0 + o
+    claims[("s7", "o0", "price")] = 500.0
+    claims[("s8", "o0", "price")] = 10.0
+    base = FusionProblem(build_dataset(claims))
+    return base, [["s1", "s2"], ["s1", "s2", "s7"]]
+
+
+def _sweep_case(name):
+    from repro.experiments.context import get_context
+
+    if name in ("stock", "flight"):
+        context = get_context("tiny")
+        return context.problem(name), _prefixes(context.collection(name))
+    if name == "sparse-chain":
+        return _sparse_base(), SPARSE_CHAIN
+    if name == "tolerance-shift":
+        return _tolerance_shift_case()
+    assert name == "non-nested"
+    return _sparse_base(), [["s1", "s3"], ["s1", "s4"], ["s2", "s5"]]
+
+
+class TestSweepCompilesRestrictions:
+    """Every sweep restriction is the problem ``restrict_sources`` compiles."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["stock", "flight", "sparse-chain", "tolerance-shift", "non-nested"],
+    )
+    def test_restrictions_are_bitwise_restrict_sources(self, case):
+        base, subsets = _sweep_case(case)
+        sweep = RestrictionSweep(base, subsets)
+        assert len(sweep.subs) == len(subsets)
+        for subset, sub in zip(subsets, sweep.subs):
+            reference = base.restrict_sources(subset)
             for name in PROBLEM_ARRAYS:
                 assert np.array_equal(
                     getattr(sub, name), getattr(reference, name)
                 ), (len(subset), name)
             assert sub.sources == reference.sources
 
-    def test_delta_compiled_prefixes_solve_like_per_job(self, sparse_base, chain):
-        outcomes = solve_restrictions(sparse_base, make_method("AccuSim"), chain)
-        one_shot = [
-            make_method("AccuSim").run(sparse_base.restrict_sources(subset))
-            for subset in chain
-        ]
-        for outcome, reference in zip(outcomes, one_shot):
-            assert outcome.result.selected == reference.selected
-            assert outcome.result.rounds == reference.rounds
-            for source, trust in reference.trust.items():
-                assert outcome.result.trust[source] == pytest.approx(
-                    trust, abs=1e-12
-                )
-
-    def test_generated_prefixes_stay_exact_whatever_path_runs(
-        self, problem, prefixes
-    ):
-        # Broad-coverage generated sources usually dirty too much for the
-        # splice to pay; whichever path each step takes, the compiled
-        # problems must equal fresh restrictions bit for bit.
-        sweep = RestrictionSweep(problem, prefixes)
-        for subset, sub in zip(prefixes, sweep.subs):
-            reference = problem.restrict_sources(subset)
-            for name in ("claim_cluster", "_cluster_value_code", "_attr_tol"):
-                assert np.array_equal(getattr(sub, name), getattr(reference, name))
-
-    def test_tolerance_shift_dirties_whole_attribute(self, sparse_base):
-        # s7 skews the price median; every price item must recompile, and
-        # the result still matches the fresh restriction exactly.
-        claims = {}
-        for o in range(20):
-            claims[("s1", f"o{o}", "price")] = 10.0 + o
-            claims[("s2", f"o{o}", "price")] = 10.0 + o
-        claims[("s7", "o0", "price")] = 500.0
-        claims[("s8", "o0", "price")] = 10.0  # never joins: no full cover
-        base = FusionProblem(build_dataset(claims))
-        chain = [["s1", "s2"], ["s1", "s2", "s7"]]
-        sweep = RestrictionSweep(base, chain, delta_threshold=1.1)
-        assert sweep.delta_compiles == 1
-        reference = base.restrict_sources(chain[1])
-        for name in PROBLEM_ARRAYS:
-            assert np.array_equal(
-                getattr(sweep.subs[1], name), getattr(reference, name)
-            ), name
-
-    def test_non_nested_subsets_fall_back(self, sparse_base):
-        sweep = RestrictionSweep(
-            sparse_base, [["s1", "s3"], ["s1", "s4"], ["s2", "s5"]]
-        )
-        assert sweep.delta_compiles == 0
-        for subset, sub in zip(sweep.subsets, sweep.subs):
-            reference = sparse_base.restrict_sources(subset)
-            assert np.array_equal(sub.claim_cluster, reference.claim_cluster)
+    def test_sparse_chain_solves_like_per_job(self):
+        base = _sparse_base()
+        spec = MethodSpec.of(make_method("AccuSim"))
+        outcomes = RestrictionSweep(base, SPARSE_CHAIN).solve(spec)
+        for outcome, subset in zip(outcomes, SPARSE_CHAIN):
+            reference = make_method("AccuSim").run(base.restrict_sources(subset))
+            result = spec.package(
+                outcome.matcher, {"trust": outcome.trust_array},
+                outcome.selected_local, outcome.rounds, outcome.converged, 0.0,
+            )
+            assert result.selected == reference.selected
+            assert result.rounds == reference.rounds
+            assert result.trust == reference.trust
 
 
 class TestEdgeCases:
     def test_empty_restriction_yields_empty_outcome(self):
-        from repro.fusion.base import FusionProblem
-
         dataset = build_dataset({
             ("s1", "o1", "price"): 10.0,
             ("s2", "o1", "price"): 11.0,
         })
         base = FusionProblem(dataset)
-        outcomes = solve_restrictions(
-            base, make_method("Vote"), [["s1"], ["nope"], ["s2"]]
+        outcomes = RestrictionSweep(base, [["s1"], ["nope"], ["s2"]]).solve(
+            make_method("Vote")
         )
         assert [o.empty for o in outcomes] == [False, True, False]
-        assert outcomes[0].result.selected
-        assert outcomes[1].result is None
+        assert len(outcomes[0].selected_local) == 1
+        assert outcomes[1].matcher is None
+        assert outcomes[1].selected_local is None
+        assert outcomes[1].sources == []
 
     def test_matcher_tolerances_are_per_restriction(self, problem, prefixes):
-        outcomes = solve_restrictions(problem, make_method("Vote"), prefixes)
+        outcomes = RestrictionSweep(problem, prefixes).solve(make_method("Vote"))
         for outcome, subset in zip(outcomes, prefixes):
             sub = problem.restrict_sources(subset)
-            assert np.allclose(outcome.matcher._attr_tol, sub._attr_tol)
+            assert np.array_equal(outcome.matcher._attr_tol, sub._attr_tol)

@@ -223,9 +223,10 @@ class TestBatchedSweepNative:
         )
         for numpy_out, native_out in zip(ref, nat):
             assert native_out.sources == numpy_out.sources
-            assert native_out.result.selected == numpy_out.result.selected
-            assert native_out.result.rounds == numpy_out.result.rounds
-            for source, value in numpy_out.result.trust.items():
-                assert native_out.result.trust[source] == pytest.approx(
-                    value, abs=TRUST_ATOL
-                )
+            assert np.array_equal(
+                native_out.selected_local, numpy_out.selected_local
+            )
+            assert native_out.rounds == numpy_out.rounds
+            assert native_out.trust_array == pytest.approx(
+                numpy_out.trust_array, abs=TRUST_ATOL
+            )

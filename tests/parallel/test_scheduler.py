@@ -94,19 +94,25 @@ class TestParallelDeterminism:
     def test_restricted_jobs_match_serial(self, problem, scheduler, stock):
         order = sources_by_recall(stock.snapshot, stock.gold)
         subset = order[: len(order) // 2]
-        outcomes = scheduler.run([
+        (row,) = scheduler.run([
             SolveJob(
-                problem=scheduler.register("full", problem),
+                problem=scheduler.register("full", problem, gold=stock.gold),
                 calls=[MethodCall("AccuSim"), MethodCall("AccuCopy")],
-                sources=list(subset),
+                subsets=[list(subset)],
             )
-        ])[0].calls
+        ])[0].sweep
         sub = problem.restrict_sources(subset)
-        for outcome in outcomes:
+        for outcome in row:
             reference = make_method(outcome.method).run(sub)
-            assert outcome.result.selected == reference.selected
-            for source, trust in reference.trust.items():
-                assert outcome.result.trust[source] == pytest.approx(trust, abs=1e-12)
+            assert outcome.rounds == reference.rounds, outcome.method
+            assert list(outcome.trust) == [
+                reference.trust[source] for source in sub.sources
+            ], outcome.method
+            # Sweep jobs return scores, not selections: the scores pin them.
+            scored = evaluate(sub, stock.gold, reference)
+            assert (outcome.precision, outcome.recall) == (
+                scored.precision, scored.recall
+            ), outcome.method
 
     def test_sweep_matches_serial_loop(self, problem, scheduler, stock):
         snapshot, gold = stock.snapshot, stock.gold
@@ -337,14 +343,22 @@ class TestSchedulerHygiene:
         try:
             key = scheduler.register("upg", problem)
             first = self._segments(scheduler)
+            unscored = scheduler.run([
+                SolveJob(
+                    problem=key, calls=[MethodCall("Vote")],
+                    subsets=[list(problem.sources)],
+                )
+            ])[0]
+            assert unscored.sweep[0][0].precision is None  # no gold yet
             scheduler.register("upg", problem, gold=stock.gold)
             second = self._segments(scheduler)
             assert first != second  # upgraded in place, old segment gone
             assert not any(_attachable(s) for s in first)
-            outcome = scheduler.run([
-                SolveJob(problem=key, calls=[MethodCall("Vote")], evaluate=True)
-            ])[0]
-            assert outcome.calls[0].precision is not None
+            job = SolveJob(
+                problem=key, calls=[MethodCall("Vote")],
+                subsets=[list(problem.sources)],
+            )
+            assert scheduler.run([job])[0].sweep[0][0].precision is not None
             # Same problem, nothing new: free, no re-export.
             scheduler.register("upg", problem, gold=stock.gold)
             assert self._segments(scheduler) == second

@@ -98,17 +98,15 @@ class TestShardSliceStreaming:
                 *self._push_delta(sharded, slices, delta), methods
             )
 
-    def test_equivalence_survives_compaction(self, stock):
+    def test_equivalence_survives_compaction(self, stock, monkeypatch):
+        from repro.core import delta as delta_mod
         from repro.datagen import perturbed_claim_stream
 
+        monkeypatch.setattr(delta_mod, "DEFAULT_MAX_INACTIVE_RATIO", 0.05)
         methods = ["Vote", "AccuSim"]
         base = stock.series.snapshots[0]
         stream = perturbed_claim_stream(base, n_days=4, churn=0.3, seed=9)
         sharded, slices = self._runners(methods)
-        for compiler in sharded.sharded.compilers:
-            compiler.max_inactive_ratio = 0.05
-        for runner in slices:
-            runner.compiler.max_inactive_ratio = 0.05
         self._push(sharded, slices, stream.base)
         compacted = False
         for delta in stream.deltas:
