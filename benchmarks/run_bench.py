@@ -14,6 +14,9 @@ Times the four rebuilt layers on both generated domains —
 * **parallel** (``--workers N``, N > 1) — the Figure 9 sweep and the
   16-method comparison through the shared-memory solve scheduler, vs the
   same solves in process;
+* **service** — one large-corpus snapshot ingested by ``TruthService``
+  next to the same methods solved directly (the two stores must be
+  equal), plus ``TruthStore`` point-query p50/p99;
 * **serving** — the asyncio HTTP front-end under load: concurrent clients
   hammering ``/lookup`` and ``/ensemble`` against a store re-published live
   underneath them, recording serve p50/p99, publish-visible latency, and a
@@ -425,13 +428,12 @@ def bench_parallel(domain: str, scale: str, workers: int) -> Dict[str, object]:
     }
 
 
-#: Sharding scenario shape: shard counts swept, methods solved, and the
-#: number of point queries timed against the published TruthStore.
-SHARD_COUNTS = (1, 2, 4)
-SHARD_METHODS = ("Vote", "AccuSim", "TruthFinder")
-SHARD_QUERIES = 2000
+#: Truth-service scenario shape: methods solved and the number of point
+#: queries timed against the published TruthStore.
+SERVICE_METHODS = ("Vote", "AccuSim", "TruthFinder")
+SERVICE_QUERIES = 2000
 #: Large-corpus object counts per bench scale (wide, shallow snapshots).
-SHARD_OBJECTS = {"tiny": 120, "small": 400, "default": 1500, "paper": 3000}
+SERVICE_OBJECTS = {"tiny": 120, "small": 400, "default": 1500, "paper": 3000}
 
 
 def _percentiles(samples_s: Sequence[float]) -> Dict[str, float]:
@@ -440,151 +442,6 @@ def _percentiles(samples_s: Sequence[float]) -> Dict[str, float]:
         "p50_us": float(np.percentile(arr, 50)),
         "p99_us": float(np.percentile(arr, 99)),
         "mean_us": float(arr.mean()),
-    }
-
-
-def _shard_slice(dataset, n_shards: int, shard: int):
-    """One shard's share of a snapshot: every source, its objects' claims."""
-    from repro.core.dataset import Dataset
-    from repro.streaming import shard_of_object
-
-    part = Dataset(
-        domain=dataset.domain, day=dataset.day, attributes=dataset.attributes
-    )
-    for meta in dataset.sources.values():
-        part.add_source(meta)
-    for item, source_id, claim in dataset.iter_claims():
-        if shard_of_object(item.object_id, n_shards) == shard:
-            part.add_claim(source_id, item, claim)
-    return part.freeze()
-
-
-def _shard_delta(delta, n_shards: int, shard: int):
-    """One shard's share of a claim delta (new sources stay declared)."""
-    from repro.core.delta import ClaimDelta
-    from repro.streaming import shard_of_object
-
-    def mine(item) -> bool:
-        return shard_of_object(item.object_id, n_shards) == shard
-
-    return ClaimDelta(
-        day=delta.day,
-        added=tuple(entry for entry in delta.added if mine(entry[1])),
-        retracted=tuple(entry for entry in delta.retracted if mine(entry[1])),
-        new_sources=delta.new_sources,
-    )
-
-
-def _results_equal(ours, theirs, methods) -> bool:
-    """Selected, trust and rounds ``==`` for every method."""
-    return all(
-        ours[name].selected == theirs[name].selected
-        and ours[name].trust == theirs[name].trust
-        and ours[name].rounds == theirs[name].rounds
-        for name in methods
-    )
-
-
-#: Sharded-streaming scenario shape.
-SHARD_STREAM_DAYS = 4
-SHARD_STREAM_CHURN = 0.01
-SHARD_STREAM_METHODS = ("Vote", "AccuPr", "TruthFinder")
-SHARD_STREAM_COUNTS = (1, 2, 4)
-
-
-def bench_shard_stream(scale: str, workers: int, repeat: int) -> Dict[str, object]:
-    """Sharded streaming: per-day wall-clock vs shard count K.
-
-    A low-churn delta stream over a wide large-corpus snapshot is pushed
-    through the streaming runner: unsharded (K=1, the exact answer) and
-    with K shard-local compilers and sessions (with ``workers > 1`` the
-    K x methods solves of each day also fan out across the pool).  Every
-    leg is timed best-of-``repeat``.  ``selections_equal`` checks the
-    sharding contract on every day: each shard's results (selected, trust,
-    rounds) equal an unsharded runner fed only that shard's slice of the
-    stream.
-    """
-    from repro.datagen import (
-        StockConfig,
-        generate_stock_collection,
-        perturbed_claim_stream,
-    )
-    from repro.streaming import StreamRunner
-
-    base = generate_stock_collection(
-        StockConfig.large_corpus(n_objects=SHARD_OBJECTS[scale])
-    ).snapshot
-    stream = perturbed_claim_stream(
-        base, SHARD_STREAM_DAYS, churn=SHARD_STREAM_CHURN, seed=29
-    )
-    methods = list(SHARD_STREAM_METHODS)
-    kwargs = {
-        name: ({} if name == "Vote" else {"tolerance": STREAM_TOLERANCE})
-        for name in methods
-    }
-
-    def run_stream(shards: int, stream_workers: int = 0):
-        with StreamRunner(
-            methods, kwargs, warm_start=True, shards=shards,
-            workers=stream_workers,
-        ) as runner:
-            day_seconds, compile_seconds = [], []
-            started = time.perf_counter()
-            runner.push(stream.base)
-            first_day_s = time.perf_counter() - started
-            for delta in stream.deltas:
-                started = time.perf_counter()
-                step = runner.push_delta(delta)
-                day_seconds.append(time.perf_counter() - started)
-                compile_seconds.append(step.compile_seconds)
-            return {
-                "first_day_s": first_day_s,
-                "per_day_s": float(np.mean(day_seconds)),
-                "compile_per_day_s": float(np.mean(compile_seconds)),
-            }, runner.steps
-
-    def best_of(shards: int, stream_workers: int = 0):
-        runs = [run_stream(shards, stream_workers) for _ in range(repeat)]
-        entry = {
-            key: min(timing[key] for timing, _steps in runs)
-            for key in runs[0][0]
-        }
-        return entry, runs[0][1]
-
-    def slices_equal(k: int, steps) -> bool:
-        equal = True
-        for shard in range(k):
-            with StreamRunner(methods, kwargs, warm_start=True) as runner:
-                slice_steps = [runner.push(_shard_slice(stream.base, k, shard))]
-                slice_steps += [
-                    runner.push_delta(_shard_delta(delta, k, shard))
-                    for delta in stream.deltas
-                ]
-            for step, slice_step in zip(steps, slice_steps):
-                equal &= _results_equal(
-                    step.shard_results[shard], slice_step.results, methods
-                )
-        return equal
-
-    by_k: Dict[str, object] = {"1": best_of(1)[0]}
-    equal = True
-    for k in SHARD_STREAM_COUNTS[1:]:
-        entry, steps = best_of(k)
-        entry["slices_equal"] = slices_equal(k, steps)
-        equal &= entry["slices_equal"]
-        if workers > 1:
-            entry["parallel"] = best_of(k, workers)[0]
-        by_k[str(k)] = entry
-    return {
-        "scale": scale,
-        "workers": workers,
-        "repeat": repeat,
-        "methods": methods,
-        "days": SHARD_STREAM_DAYS,
-        "churn": SHARD_STREAM_CHURN,
-        "n_objects": SHARD_OBJECTS[scale],
-        "by_shard_count": by_k,
-        "selections_equal": bool(equal),
     }
 
 
@@ -700,117 +557,67 @@ def bench_profile(
     return kernels
 
 
-def bench_sharding(scale: str, workers: int, repeat: int) -> Dict[str, object]:
-    """Sharding one snapshot as a one-day stream + the truth-serving read path.
+def bench_service(scale: str, repeat: int) -> Dict[str, object]:
+    """One snapshot served as a one-day stream + the truth-serving read path.
 
     A wide large-corpus Stock snapshot (``StockConfig.large_corpus``) is
-    ingested by ``TruthService(shards=K)`` — the path ``cli serve FILE
-    --shards K --approximate`` runs — best-of-``repeat`` per K.  K=1 is the
-    exact answer: its store must equal the methods run on
-    ``FusionProblem(snapshot)``.  For K > 1 every shard is compiled and
-    solved on its own, serially and across ``workers`` processes; each
-    shard's results must equal a ``TruthService`` over that shard's slice
-    of the snapshot, and the merged answer's cost is recorded per method
-    (ungated): the share of items whose selection differs from the exact
-    one, and the precision change against the gold standard.  Point
-    lookups and ensemble reads are timed against the exact store for
-    query p50/p99.
+    ingested by ``TruthService`` — the path ``cli serve FILE`` runs —
+    best-of-``repeat``, next to the same methods run directly on
+    ``FusionProblem(snapshot)``.  ``exact_equal`` checks that the service's
+    store equals the direct solve's, truths and trust ``==``.  Point lookups
+    and ensemble reads are timed against the store for query p50/p99.
     """
     from repro.datagen import StockConfig, generate_stock_collection
-    from repro.evaluation.metrics import evaluate
     from repro.serving import TruthService, TruthStore
 
-    collection = generate_stock_collection(
-        StockConfig.large_corpus(n_objects=SHARD_OBJECTS[scale])
-    )
-    snapshot = collection.snapshot
-    methods = list(SHARD_METHODS)
+    snapshot = generate_stock_collection(
+        StockConfig.large_corpus(n_objects=SERVICE_OBJECTS[scale])
+    ).snapshot
+    methods = list(SERVICE_METHODS)
 
-    def solve_unsharded():
+    def solve_direct():
         problem = FusionProblem(snapshot)
         return problem, {name: make_method(name).run(problem) for name in methods}
 
-    baseline_s = _best_of(repeat, solve_unsharded)
-    baseline_problem, baseline = solve_unsharded()
+    direct_s = _best_of(repeat, solve_direct)
+    problem, direct = solve_direct()
     reference = TruthStore()
-    reference.publish(snapshot.day, baseline)
+    reference.publish(snapshot.day, direct)
 
-    def ingest(dataset, k: int, service_workers: int = 0):
-        with TruthService(methods, workers=service_workers, shards=k) as service:
-            service.ingest(dataset)
-        return service
+    def ingest():
+        with TruthService(methods) as service:
+            service.ingest(snapshot)
+        return service.store
 
-    def timed(k: int, service_workers: int = 0) -> float:
-        return _best_of(repeat, lambda: ingest(snapshot, k, service_workers))
-
-    store = ingest(snapshot, 1).store
+    service_s = _best_of(repeat, ingest)
+    store = ingest()
     ours, theirs = store.snapshot(), reference.snapshot()
-    counts: Dict[str, object] = {
-        "1": {
-            "service_s": timed(1),
-            "exact_equal": (ours.truths, ours.trust)
-            == (theirs.truths, theirs.trust),
-        }
-    }
-    precision = {
-        name: evaluate(snapshot, collection.gold, baseline[name]).precision
-        for name in methods
-    }
-    for k in SHARD_COUNTS[1:]:
-        entry: Dict[str, object] = {"independent_serial_s": timed(k)}
-        step = ingest(snapshot, k).runner.steps[-1]
-        entry["live_shards"] = len(step.shard_results)
-        entry["exact_equal"] = all(
-            _results_equal(
-                results,
-                ingest(_shard_slice(snapshot, k, shard), 1).runner.steps[-1].results,
-                methods,
-            )
-            for shard, results in step.shard_results.items()
-        )
-        entry["quality"] = {
-            name: {
-                "differing_share": sum(
-                    step.results[name].selected.get(item) != value
-                    for item, value in baseline[name].selected.items()
-                ) / len(baseline[name].selected),
-                "precision_delta": evaluate(
-                    snapshot, collection.gold, step.results[name]
-                ).precision - precision[name],
-            }
-            for name in methods
-        }
-        if workers > 1:
-            entry["independent_parallel_s"] = timed(k, workers)
-        counts[str(k)] = entry
 
     # ------------------------------------------------------------- queries
     rng = np.random.default_rng(23)
-    items = list(baseline_problem.items)
-    picks = rng.choice(len(items), size=min(SHARD_QUERIES, len(items)))
+    items = list(problem.items)
+    picks = rng.choice(len(items), size=min(SERVICE_QUERIES, len(items)))
     lookup_times, ensemble_times = [], []
-    snap = store.snapshot()
     for index in picks:
         item = items[int(index)]
         q0 = time.perf_counter()
-        answer = store.lookup(item.object_id, item.attribute, snapshot=snap)
+        answer = store.lookup(item.object_id, item.attribute, snapshot=ours)
         lookup_times.append(time.perf_counter() - q0)
         assert answer is not None
         q0 = time.perf_counter()
-        store.ensemble(item.object_id, item.attribute, snapshot=snap)
+        store.ensemble(item.object_id, item.attribute, snapshot=ours)
         ensemble_times.append(time.perf_counter() - q0)
 
     return {
         "scale": scale,
-        "workers": workers,
         "repeat": repeat,
         "methods": methods,
-        "shard_counts": list(SHARD_COUNTS),
-        "n_objects": SHARD_OBJECTS[scale],
-        "n_items": baseline_problem.n_items,
-        "n_claims": baseline_problem.n_claims,
-        "unsharded_solve_s": baseline_s,
-        "by_shard_count": counts,
+        "n_objects": SERVICE_OBJECTS[scale],
+        "n_items": problem.n_items,
+        "n_claims": problem.n_claims,
+        "direct_solve_s": direct_s,
+        "service_s": service_s,
+        "exact_equal": (ours.truths, ours.trust) == (theirs.truths, theirs.trust),
         "queries": {
             "n": len(lookup_times),
             "lookup": _percentiles(lookup_times),
@@ -960,7 +767,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--output", default="BENCH_fusion.json")
     parser.add_argument("--repeat", type=int, default=3,
                         help="best-of-N for the compile/detection, "
-                             "figure9, streaming and sharding timings")
+                             "figure9, streaming and service timings")
     parser.add_argument("--domains", nargs="+", default=["stock", "flight"])
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the parallel scenario "
@@ -1046,28 +853,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                 flush=True,
             )
 
-    print(f"[bench] sharding @ {args.scale} ...", flush=True)
-    sharding = bench_sharding(args.scale, args.workers, args.repeat)
-    k_max = str(max(SHARD_COUNTS))
+    print(f"[bench] service @ {args.scale} ...", flush=True)
+    service = bench_service(args.scale, args.repeat)
     print(
-        f"[bench] sharding: K=1 {sharding['by_shard_count']['1']['service_s']:.2f}s,"
-        f" K={k_max} shard-local"
-        f" {sharding['by_shard_count'][k_max]['independent_serial_s']:.2f}s"
-        f" (equal: {sharding['by_shard_count'][k_max]['exact_equal']}),"
-        f" unsharded solve {sharding['unsharded_solve_s']:.2f}s,"
-        f" query p99 {sharding['queries']['lookup']['p99_us']:.0f}us",
-        flush=True,
-    )
-
-    print(f"[bench] shard_stream @ {args.scale} ...", flush=True)
-    shard_stream = bench_shard_stream(args.scale, args.workers, args.repeat)
-    k_base = shard_stream["by_shard_count"]["1"]["per_day_s"]
-    k_top = shard_stream["by_shard_count"][str(max(SHARD_STREAM_COUNTS))]
-    print(
-        f"[bench] shard_stream: per-day K=1 {k_base * 1000:.1f}ms,"
-        f" K={max(SHARD_STREAM_COUNTS)} shard-local"
-        f" {k_top['per_day_s'] * 1000:.1f}ms"
-        f" (selections equal: {shard_stream['selections_equal']})",
+        f"[bench] service: ingest {service['service_s']:.2f}s,"
+        f" direct solve {service['direct_solve_s']:.2f}s"
+        f" (equal: {service['exact_equal']}),"
+        f" query p99 {service['queries']['lookup']['p99_us']:.0f}us",
         flush=True,
     )
 
@@ -1138,11 +930,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             for leg in native_legs
             for entry in leg["methods"].values()
         )
-    summary["sharding_exact_equal"] = all(
-        entry["exact_equal"] for entry in sharding["by_shard_count"].values()
-    )
-    summary["sharding_query_p99_us"] = sharding["queries"]["lookup"]["p99_us"]
-    summary["shard_stream_selections_equal"] = shard_stream["selections_equal"]
+    summary["service_exact_equal"] = service["exact_equal"]
+    summary["service_query_p99_us"] = service["queries"]["lookup"]["p99_us"]
     summary["serving_reads_equal"] = serving["reads_ok"]
     summary["serving_lookup_p99_ms"] = serving["lookup"]["p99_us"] / 1000
     summary["serving_ensemble_p99_ms"] = serving["ensemble"]["p99_us"] / 1000
@@ -1159,8 +948,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "cpu_count": os.cpu_count(),
         "unix_time": time.time(),
         "domains": domains,
-        "sharding": sharding,
-        "shard_stream": shard_stream,
+        "service": service,
         "serving": serving,
         "summary": summary,
     }

@@ -5,8 +5,8 @@ Usage::
     python -m repro.cli fuse claims.csv --method AccuSim -o result.json
     python -m repro.cli fuse claims.csv --method AccuCopy --gold gold.csv
     python -m repro.cli stream days/ --method AccuSim --output-dir out/
-    python -m repro.cli serve claims.csv --shards 4 --approximate --store store.json
-    python -m repro.cli serve days/ --stream --listen 8080 --store store.json
+    python -m repro.cli serve claims.csv --store store.json
+    python -m repro.cli serve days/ --listen 8080 --store store.json
     python -m repro.cli serve store.json --listen 127.0.0.1:8080
     python -m repro.cli query store.json --object o1 --attribute price
     python -m repro.cli export-demo stock claims.csv --gold gold.csv
@@ -17,11 +17,11 @@ round-trip can be exercised without private data.  ``stream`` tails a
 directory of daily claim CSVs (one snapshot per file, processed in sorted
 filename order) through warm fusion sessions, emitting each day's
 selections and trust as it lands.  ``serve`` streams a directory of daily
-CSVs through warm sessions (optionally sharded by object key) into a
-versioned :class:`~repro.serving.TruthStore` JSON file, one version per
-day; a single claims CSV is served as a one-day directory.  ``query``
-answers point lookups, ensemble answers, and trust reads from that file
-without re-solving anything.
+CSVs through warm sessions into a versioned
+:class:`~repro.serving.TruthStore` JSON file, one version per day; a
+single claims CSV is served as a one-day directory.  ``query`` answers
+point lookups, ensemble answers, and trust reads from that file without
+re-solving anything.
 
 With ``--listen [HOST:]PORT`` ``serve`` additionally exposes the store over
 HTTP (:mod:`repro.server`): point lookups, trust reads, ensemble answers,
@@ -53,23 +53,6 @@ from repro.io import (
     write_gold_csv,
     write_result_json,
 )
-
-
-def _shard_count(args: argparse.Namespace) -> Optional[int]:
-    """The validated runner shard count for ``--shards``/``--approximate``.
-
-    ``None`` means the flags are inconsistent (the message is printed);
-    shared by ``stream`` and ``serve`` so their CLI contracts cannot drift.
-    Shards are solved shard-locally, so ``--shards K`` without
-    ``--approximate`` asks for the exact answer: the unsharded run.
-    """
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return None
-    if args.approximate and args.shards == 1:
-        print("--approximate needs --shards K with K > 1", file=sys.stderr)
-        return None
-    return args.shards if args.approximate else 1
 
 
 def _method_kwargs(args: argparse.Namespace) -> dict:
@@ -148,9 +131,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"{directory} is not a directory", file=sys.stderr)
         return 2
-    shards = _shard_count(args)
-    if shards is None:
-        return 2
     methods = args.method or ["AccuSim"]
     kwargs = _method_kwargs(args)
     runner = StreamRunner(
@@ -158,7 +138,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         {name: dict(kwargs) for name in methods} if kwargs else None,
         warm_start=not args.cold,
         workers=args.workers,
-        shards=shards,
     )
     output_dir = Path(args.output_dir) if args.output_dir else None
     if output_dir is not None:
@@ -315,15 +294,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             _listen_wait(args)
         return 0
 
-    if args.stream and not source.is_dir():
-        print(
-            f"--stream serves a directory of daily CSVs; {source} is not one",
-            file=sys.stderr,
-        )
-        return 2
-    shards = _shard_count(args)
-    if shards is None:
-        return 2
     if source.is_dir():
         paths = sorted(source.glob("*.csv"))
         if not paths:
@@ -345,14 +315,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         # Every daily CSV becomes the next store version.  After the first,
         # each file is diffed against the last consumed one and applied as
-        # a claim delta.  With --shards K --approximate each day is
-        # compiled and solved by K shard-local series compilers.
+        # a claim delta.
         with TruthService(
             methods,
             {name: dict(kwargs) for name in methods} if kwargs else None,
             workers=args.workers,
             store=store,
-            shards=shards,
         ) as service:
             reader = ClaimsDayReader()
             for path in paths:
@@ -521,14 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "REPRO_ENGINE env var, then numpy)")
     stream.add_argument("--workers", type=int, default=1,
                         help="solve each day's methods across this many workers")
-    stream.add_argument("--shards", type=int, default=1,
-                        help="shard count K (default 1); without "
-                             "--approximate the exact answer is the "
-                             "unsharded run, so K is validated only")
-    stream.add_argument("--approximate", action="store_true",
-                        help="shard the stream by object key across K "
-                             "shard-local compiles and solves (own trust "
-                             "and tolerances), merged per day")
     stream.set_defaults(func=_cmd_stream)
 
     serve = sub.add_parser(
@@ -543,18 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="method(s) to publish (repeatable; default: AccuSim)")
     serve.add_argument("--store", default="truth_store.json",
                        help="output store path (default: truth_store.json)")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="shard count K (default 1); without "
-                            "--approximate the exact answer is the "
-                            "unsharded run, so K is validated only")
-    serve.add_argument("--approximate", action="store_true",
-                       help="shard each day by object key across K "
-                            "shard-local compiles and solves (own trust "
-                            "and tolerances), merged per day")
-    serve.add_argument("--stream", action="store_true",
-                       help="require streaming input: serve a directory of "
-                            "daily CSVs through (optionally sharded) warm "
-                            "sessions, one store version per day")
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes for the solves")
     serve.add_argument("--max-rounds", type=int, default=None,

@@ -262,8 +262,8 @@ class FlightConfig:
 
     @classmethod
     def large_corpus(cls, seed: int = 15, n_objects: int = 1500) -> "FlightConfig":
-        """A wide, shallow corpus: many flights, two days — the sharding
-        workload (items dominate, so K >> 1 object shards stay balanced)."""
+        """A wide, shallow corpus: many flights, two days — the one-day
+        truth-serving workload (items dominate the claim count)."""
         return cls(
             n_objects=n_objects,
             num_days=2,

@@ -328,8 +328,8 @@ class StockConfig:
 
     @classmethod
     def large_corpus(cls, seed: int = 6, n_objects: int = 1500) -> "StockConfig":
-        """A wide, shallow corpus: many objects, two days — the sharding
-        workload (items dominate, so K >> 1 object shards stay balanced)."""
+        """A wide, shallow corpus: many objects, two days — the one-day
+        truth-serving workload (items dominate the claim count)."""
         return cls(
             n_objects=n_objects,
             num_days=2,

@@ -26,8 +26,8 @@ more than the solves.  This module is the layer in between:
   indices and the parent session absorbs them, keeping warm-start state
   authoritative in the parent).
 
-Streaming and serving schedule onto it as raw steps: one job per live
-(shard, method) pair of a day, the unsharded stream being one shard.
+Streaming and serving schedule onto it as raw steps: one job per method
+of a day, all on the day's one registered problem.
 """
 
 from __future__ import annotations

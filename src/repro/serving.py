@@ -15,8 +15,7 @@ module is the read path:
   Publishing accepts a plain ``{method: FusionResult}`` mapping or a
   :class:`~repro.streaming.StreamStep` (the incremental path: each
   :class:`~repro.streaming.StreamRunner` day is delta-compiled by the
-  series compiler and republished here; a sharded runner has already
-  merged its shard-local results into one result per method).
+  series compiler and republished here).
 * :class:`TruthService` — glue that owns a :class:`StreamRunner` and a
   store: ``ingest(dataset)`` / ``apply(delta)`` advance the runner's warm
   sessions one day and publish the day's results as the next store version.
@@ -44,48 +43,8 @@ __all__ = [
     "StoreSnapshot",
     "TruthStore",
     "TruthService",
-    "merge_shard_trust",
 ]
 
-
-def merge_shard_trust(
-    trusts: Sequence[Dict[str, float]],
-    weights: Optional[Sequence[Dict[str, float]]] = None,
-) -> Dict[str, float]:
-    """Merge per-shard per-source trust by weighted mean.
-
-    ``weights[i][source]`` is shard ``i``'s evidence mass for the source
-    (claim counts); without weights every shard's estimate counts equally.
-    A source no shard has evidence for falls back to the plain mean of its
-    estimates.  The sharded stream (:class:`repro.streaming.StreamRunner`
-    with ``shards=K``) merges its shards' trust with it.
-    """
-    if weights is not None and len(weights) < len(trusts):
-        raise FusionError(
-            f"merge_shard_trust got {len(trusts)} shard trust maps but only "
-            f"{len(weights)} weight maps; every shard needs its weights"
-        )
-    weighted: Dict[str, float] = {}
-    weight_sum: Dict[str, float] = {}
-    plain_sum: Dict[str, float] = {}
-    plain_n: Dict[str, int] = {}
-    for index, trust in enumerate(trusts):
-        for source_id, value in trust.items():
-            weight = 1.0
-            if weights is not None:
-                weight = float(weights[index].get(source_id, 0.0))
-            weighted[source_id] = weighted.get(source_id, 0.0) + weight * value
-            weight_sum[source_id] = weight_sum.get(source_id, 0.0) + weight
-            plain_sum[source_id] = plain_sum.get(source_id, 0.0) + value
-            plain_n[source_id] = plain_n.get(source_id, 0) + 1
-    return {
-        source_id: (
-            weighted[source_id] / weight_sum[source_id]
-            if weight_sum[source_id] > 0
-            else plain_sum[source_id] / plain_n[source_id]
-        )
-        for source_id in weighted
-    }
 
 ItemKey = Tuple[str, str]  # (object_id, attribute)
 
@@ -381,9 +340,8 @@ class TruthService:
     per-method sessions, optional worker pool) feeds one
     :class:`TruthStore`: every ingested day becomes the next store version,
     so reads stay consistent while the solve of the following day runs.
-    One snapshot is a one-day stream: ``TruthService(methods,
-    shards=K).ingest(dataset)`` serves a single corpus from K shard-local
-    solves (``shards=1``, the default, is the exact unsharded answer).
+    One snapshot is a one-day stream: ``TruthService(methods).ingest(dataset)``
+    serves a single corpus.
     """
 
     def __init__(
@@ -394,7 +352,6 @@ class TruthService:
         warm_start: bool = True,
         workers: int = 0,
         store: Optional[TruthStore] = None,
-        shards: int = 1,
     ):
         from repro.streaming import StreamRunner
 
@@ -403,7 +360,6 @@ class TruthService:
             method_kwargs,
             warm_start=warm_start,
             workers=workers,
-            shards=shards,
         )
         self.store = store if store is not None else TruthStore()
 

@@ -11,7 +11,9 @@ from repro.core.delta import ClaimDelta, SeriesCompiler, splice_compiled
 from repro.core.records import Claim, DataItem, SourceMeta
 from repro.errors import SchemaError
 from repro.fusion.base import FusionProblem
-from repro.fusion.registry import make_method
+from repro.fusion.registry import METHOD_NAMES, make_method
+from repro.parallel import solve_methods
+from repro.serving import TruthService, TruthStore
 
 from tests.helpers import (
     assert_same_structure,
@@ -277,6 +279,53 @@ class TestDeltaProperties:
                 base, list(metas.values()), claims, delta.day
             )
             assert_problems_equivalent(day, reference, methods=("Vote", "AccuSim"))
+
+
+class TestOneDayStream:
+    """A snapshot is a one-day stream: its series compile is the snapshot
+    compile, and a one-day service publishes the snapshot path's store."""
+
+    @given(table=claim_tables())
+    @settings(
+        max_examples=20, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_series_day_is_the_snapshot_compile(self, table):
+        dataset = build_dataset(table)
+        assert_same_structure(
+            SeriesCompiler().ingest(dataset).problem(), FusionProblem(dataset)
+        )
+
+    @given(table=claim_tables())
+    @settings(
+        max_examples=8, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_day_runs_all_sixteen_methods_identically(self, table):
+        dataset = build_dataset(table)
+        base = FusionProblem(dataset)
+        ours = SeriesCompiler().ingest(dataset).problem()
+        for name in METHOD_NAMES:
+            result = make_method(name).run(ours)
+            reference = make_method(name).run(base)
+            assert result.selected == reference.selected, name
+            assert result.trust == reference.trust, name
+
+    def test_exact_service_publishes_the_unsharded_store(self, stock_snapshot):
+        methods = list(METHOD_NAMES)
+        with TruthService(methods) as service:
+            service.ingest(stock_snapshot)
+            ours = service.store.snapshot()
+        outcomes = solve_methods(FusionProblem(stock_snapshot), methods)
+        reference = TruthStore()
+        reference.publish(
+            stock_snapshot.day,
+            {name: outcome.result for name, outcome in zip(methods, outcomes)},
+        )
+        theirs = reference.snapshot()
+        assert (ours.day, ours.methods, ours.truths, ours.trust) == (
+            theirs.day, theirs.methods, theirs.truths, theirs.trust
+        )
 
 
 class TestCopyCountTracking:

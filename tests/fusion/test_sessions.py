@@ -222,3 +222,66 @@ class TestStreamRunner:
         )
         selected = step.results["Vote"].selected
         assert selected[DataItem("o1", "price")] == 10.0
+
+    def test_step_stats_count_the_day(self, stock_snapshot):
+        from repro.streaming import StreamRunner
+
+        step = StreamRunner(["Vote"]).push(stock_snapshot)
+        assert step.stats.n_active_claims == stock_snapshot.num_claims
+        assert step.stats.n_added_claims == stock_snapshot.num_claims
+        assert step.results["Vote"].extras["compile"] is step.stats
+
+    def test_sessions_warm_start_from_the_second_day(self, stock_collection):
+        from repro.streaming import StreamRunner
+
+        runner = StreamRunner(["AccuPr"])
+        first = runner.push(stock_collection.series.snapshots[0])
+        second = runner.push(stock_collection.series.snapshots[1])
+        assert not first.results["AccuPr"].extras["warm_started"]
+        assert second.results["AccuPr"].extras["warm_started"]
+
+    def test_cold_stream_through_compaction_matches_snapshot_solves(
+        self, stock_snapshot, monkeypatch
+    ):
+        """Every day of a compacting delta stream fuses like its snapshot."""
+        from repro.core import delta as delta_mod
+        from repro.datagen import perturbed_claim_stream
+        from repro.streaming import StreamRunner
+
+        monkeypatch.setattr(delta_mod, "DEFAULT_MAX_INACTIVE_RATIO", 0.05)
+        methods = ["Vote", "AccuSim"]
+        stream = perturbed_claim_stream(stock_snapshot, 4, churn=0.3, seed=9)
+        runner = StreamRunner(methods, warm_start=False)
+        runner.push(stream.base)
+        compacted = False
+        for delta, snapshot in zip(stream.deltas, stream.snapshots):
+            step = runner.push_delta(delta)
+            compacted |= step.stats.compacted
+            problem = FusionProblem(snapshot)
+            for name in methods:
+                reference = make_method(name).run(problem)
+                result = step.results[name]
+                assert result.selected == reference.selected, (step.day, name)
+                for source_id, trust in reference.trust.items():
+                    assert result.trust[source_id] == pytest.approx(
+                        trust, abs=1e-12
+                    ), (step.day, name, source_id)
+        assert compacted  # the low ratio must actually trigger compaction
+
+    def test_delta_before_ingest_raises(self):
+        from repro.errors import FusionError
+        from repro.streaming import StreamRunner
+
+        with pytest.raises(FusionError, match="prior ingest"):
+            StreamRunner(["Vote"]).push_delta(ClaimDelta(day="d1"))
+
+    def test_sharding_is_not_an_option(self):
+        from repro.serving import TruthService
+        from repro.streaming import StreamRunner
+
+        with pytest.raises(TypeError):
+            StreamRunner(["Vote"], shards=2)
+        with pytest.raises(TypeError):
+            StreamRunner(["Vote"], compiler=SeriesCompiler())
+        with pytest.raises(TypeError):
+            TruthService(["Vote"], shards=2)

@@ -3,10 +3,9 @@
 ``build_dataset`` turns a compact claim table into a frozen
 :class:`~repro.core.dataset.Dataset`, so tests can express fusion scenarios
 ("three sources say 10, one says 99") in a couple of lines.
-``claim_tables`` draws such tables at random for property tests,
+``claim_tables`` draws such tables at random for property tests, and
 ``assert_problems_bitwise_equal`` pins two compiled problems as
-interchangeable, and ``shard_slice`` / ``shard_delta`` cut one shard's
-share out of a snapshot or delta (the stream an independent shard sees).
+interchangeable.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core.attributes import AttributeSpec, AttributeTable, ValueKind
 from repro.core.dataset import Dataset
-from repro.core.delta import ClaimDelta
 from repro.core.gold import GoldStandard
 from repro.core.records import Claim, DataItem, SourceMeta, Value
 
@@ -123,37 +121,3 @@ def assert_same_structure(ours, base) -> None:
     assert ours.items == base.items
     assert ours.sources == base.sources
 
-
-def shard_slice(dataset: Dataset, n_shards: int, shard: int) -> Dataset:
-    """One shard's share of a snapshot: every source, its objects' claims.
-
-    Sources keep the dataset's order and claims keep its item order, so an
-    unsharded run over the slice sees what shard ``shard`` of a
-    ``shards=n_shards`` stream sees.
-    """
-    from repro.streaming import shard_of_object
-
-    part = Dataset(
-        domain=dataset.domain, day=dataset.day, attributes=dataset.attributes
-    )
-    for meta in dataset.sources.values():
-        part.add_source(meta)
-    for item, source_id, claim in dataset.iter_claims():
-        if shard_of_object(item.object_id, n_shards) == shard:
-            part.add_claim(source_id, item, claim)
-    return part.freeze()
-
-
-def shard_delta(delta: ClaimDelta, n_shards: int, shard: int) -> ClaimDelta:
-    """One shard's share of a delta (every new source stays declared)."""
-    from repro.streaming import shard_of_object
-
-    def mine(item: DataItem) -> bool:
-        return shard_of_object(item.object_id, n_shards) == shard
-
-    return ClaimDelta(
-        day=delta.day,
-        added=tuple(entry for entry in delta.added if mine(entry[1])),
-        retracted=tuple(entry for entry in delta.retracted if mine(entry[1])),
-        new_sources=delta.new_sources,
-    )

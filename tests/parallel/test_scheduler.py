@@ -1,9 +1,9 @@
 """Determinism and hygiene of the shared-memory solve scheduler.
 
 The hard guarantees of the parallel engine: every registered method
-produces bit-identical selections and trust (within 1e-12) under
-``workers=4`` versus serial — on the full problem, on a
-``restrict_sources`` sweep, and on a streaming day — and no shared-memory
+produces the serial selections and trust under ``workers=4`` — within
+1e-12 on the full problem, bit-identical on a ``restrict_sources`` sweep
+and on streaming days (snapshots and deltas) — and no shared-memory
 segments survive pool shutdown, even after a worker crash.
 """
 
@@ -131,24 +131,37 @@ class TestParallelDeterminism:
                 serial.append(evaluate(sub, gold, result).recall)
             assert parallel[name].recalls == serial, name
 
-    def test_streaming_day_matches_serial(self, stock):
+    @pytest.mark.parametrize("feed", ["snapshots", "deltas"])
+    def test_streaming_day_matches_serial(self, stock, feed):
+        """Every number of a worker-solved stream day is the serial one."""
+        from repro.datagen import perturbed_claim_stream
         from repro.streaming import StreamRunner
 
         methods = ["Vote", "AccuSim", "AccuCopy", "AccuSimAttr"]
-        serial = StreamRunner(methods, warm_start=True)
+
+        def run(runner):
+            if feed == "snapshots":
+                return [runner.push(s) for s in list(stock.series)[:2]]
+            stream = perturbed_claim_stream(
+                stock.series.snapshots[0], 3, churn=0.02, seed=3
+            )
+            return [runner.push(stream.base)] + [
+                runner.push_delta(delta) for delta in stream.deltas
+            ]
+
+        serial = run(StreamRunner(methods, warm_start=True))
         with StreamRunner(methods, warm_start=True, workers=WORKERS) as parallel:
-            for snapshot in list(stock.series)[:2]:
-                reference = serial.push(snapshot)
-                step = parallel.push(snapshot)
-                for name in methods:
-                    a, b = reference.results[name], step.results[name]
-                    assert b.selected == a.selected, (snapshot.day, name)
-                    assert b.rounds == a.rounds, (snapshot.day, name)
-                    assert b.extras["warm_started"] == a.extras["warm_started"]
-                    for source, trust in a.trust.items():
-                        assert b.trust[source] == pytest.approx(
-                            trust, abs=1e-12
-                        ), (snapshot.day, name, source)
+            steps = run(parallel)
+        assert len(steps) == len(serial)
+        for reference, step in zip(serial, steps):
+            for name in methods:
+                a, b = reference.results[name], step.results[name]
+                label = (step.day, name)
+                assert b.selected == a.selected, label
+                assert b.trust == a.trust, label
+                assert b.attr_trust == a.attr_trust, label
+                assert b.rounds == a.rounds, label
+                assert b.extras["warm_started"] == a.extras["warm_started"]
 
     def test_serial_fallback_is_the_same_code_path(self, problem):
         outcomes = solve_methods(problem, ["AccuPr"], workers=0)
@@ -184,7 +197,7 @@ class TestViewOnlyExport:
             bundle.unlink()
 
     @pytest.mark.parametrize(
-        "shape", ["full", "restricted", "copy", "sharded-day"]
+        "shape", ["full", "restricted", "copy", "delta-day"]
     )
     def test_problem_export_round_trips_bitwise(
         self, stock, problem, tmp_path, shape
@@ -192,8 +205,9 @@ class TestViewOnlyExport:
         """A worker's rehydrated problem is the exported one, array for array."""
         import numpy as np
 
+        from repro.core.delta import SeriesCompiler
+        from repro.datagen import perturbed_claim_stream
         from repro.parallel import _AttachedProblem, _export_problem
-        from repro.streaming import ShardedStreamCompiler
         from tests.helpers import PROBLEM_ARRAYS
 
         methods = ["Vote", "AccuSim"]
@@ -203,10 +217,14 @@ class TestViewOnlyExport:
             )
         elif shape == "copy":
             methods = ["AccuCopy"]
-        elif shape == "sharded-day":
-            # One shard-local day: a union-store view with a claim mask.
-            days = ShardedStreamCompiler(2).ingest(stock.snapshot)
-            problem = days[1].problem()
+        elif shape == "delta-day":
+            # A day after retractions: a union-store view with a claim mask.
+            stream = perturbed_claim_stream(stock.snapshot, 1, churn=0.02, seed=3)
+            compiler = SeriesCompiler()
+            compiler.ingest(stream.base)
+            problem = compiler.apply_delta(stream.deltas[0]).problem()
+            assert stream.deltas[0].retracted
+            assert not problem._claim_mask.all()
         bundle, descriptor = _export_problem(
             problem, stock.gold, str(tmp_path), shape, 1,
             with_copy=shape == "copy",

@@ -189,22 +189,6 @@ class TestStreamCommand:
         assert payload["method"] == "Vote"
         assert payload["trust"]
 
-    def test_sharded_stream_matches_unsharded(self, stream_dir, tmp_path, capsys):
-        flat_dir, shard_dir = tmp_path / "flat", tmp_path / "shard"
-        assert main([
-            "stream", str(stream_dir), "--method", "Vote",
-            "--output-dir", str(flat_dir),
-        ]) == 0
-        assert main([
-            "stream", str(stream_dir), "--method", "Vote", "--shards", "2",
-            "--output-dir", str(shard_dir),
-        ]) == 0
-        for day in ("d1", "d2"):
-            a = json.loads((flat_dir / f"{day}.Vote.json").read_text())
-            b = json.loads((shard_dir / f"{day}.Vote.json").read_text())
-            assert a["selected"] == b["selected"], day
-            assert a["trust"] == b["trust"], day
-
     def test_multiple_methods_and_cold_mode(self, stream_dir, capsys):
         assert main([
             "stream", str(stream_dir), "--method", "Vote",
@@ -301,28 +285,6 @@ class TestServeAndQuery:
         ]) == 1
         assert "not published" in capsys.readouterr().err
 
-    def test_sharded_serve_matches_unsharded(self, richer_csv, tmp_path, capsys):
-        flat, sharded = tmp_path / "flat.json", tmp_path / "sharded.json"
-        assert main(["serve", str(richer_csv), "--store", str(flat)]) == 0
-        assert main([
-            "serve", str(richer_csv), "--store", str(sharded), "--shards", "2",
-        ]) == 0
-        a = json.loads(flat.read_text())
-        b = json.loads(sharded.read_text())
-        assert a["truths"] == b["truths"]
-        assert a["trust"] == b["trust"]
-
-    def test_approximate_sharded_serve_covers_all_items(
-        self, richer_csv, tmp_path, capsys
-    ):
-        store = tmp_path / "store.json"
-        assert main([
-            "serve", str(richer_csv), "--store", str(store),
-            "--shards", "2", "--approximate",
-        ]) == 0
-        payload = json.loads(store.read_text())
-        assert len(payload["truths"]) == 3
-
     def test_serve_directory_versions_per_day(self, tmp_path, capsys):
         days = tmp_path / "days"
         days.mkdir()
@@ -345,8 +307,8 @@ class TestServeAndQuery:
         ]) == 0
         assert "11.0" in capsys.readouterr().out
 
-    def test_sharded_stream_serve_round_trip(self, tmp_path, capsys):
-        """`serve --shards K --stream` on a day directory == unsharded serve."""
+    def test_serve_directory_round_trip(self, tmp_path, capsys):
+        """`serve days/` publishes one version per day; `query` reads it."""
         days = tmp_path / "days"
         days.mkdir()
         for index, (first, third) in enumerate(((10.0, 77.0), (10.0, 10.0))):
@@ -363,56 +325,39 @@ class TestServeAndQuery:
                 day=f"d{index}",
             )
             write_claims_csv(ds, days / f"0{index}.csv")
-        flat, sharded = tmp_path / "flat.json", tmp_path / "sharded.json"
+        store = tmp_path / "store.json"
         assert main([
             "serve", str(days), "--method", "Vote", "--method", "AccuSim",
-            "--store", str(flat),
+            "--store", str(store),
         ]) == 0
+        payload = json.loads(store.read_text())
+        assert payload["version"] == 2 and payload["day"] == "d1"
+        assert payload["methods"] == ["Vote", "AccuSim"]
         assert main([
-            "serve", str(days), "--method", "Vote", "--method", "AccuSim",
-            "--store", str(sharded), "--shards", "2", "--stream",
-        ]) == 0
-        a = json.loads(flat.read_text())
-        b = json.loads(sharded.read_text())
-        assert b["version"] == 2 and b["day"] == "d1"
-        assert a["truths"] == b["truths"]
-        assert a["trust"] == b["trust"]
-        assert main([
-            "query", str(sharded), "--object", "o1", "--attribute", "price",
+            "query", str(store), "--object", "o1", "--attribute", "price",
         ]) == 0
         assert "10.0" in capsys.readouterr().out
 
-    def test_stream_flag_requires_a_directory(self, richer_csv, tmp_path, capsys):
-        assert main([
-            "serve", str(richer_csv), "--stream",
-            "--store", str(tmp_path / "s.json"),
-        ]) == 2
-        assert "--stream" in capsys.readouterr().err
-
-    def test_approximate_requires_shards(self, richer_csv, tmp_path, capsys):
-        assert main([
-            "serve", str(richer_csv), "--approximate",
-            "--store", str(tmp_path / "s.json"),
-        ]) == 2
-        assert "--shards" in capsys.readouterr().err
-        days = tmp_path / "d"
-        days.mkdir()
-        assert main(["stream", str(days), "--approximate"]) == 2
-        assert "--shards" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
-        "extra",
+        "argv",
         [
-            ["--shards", "2"],
-            ["--shards", "2", "--approximate"],
-            [],
-            ["--shards", "3"],
-            ["--shards", "4", "--approximate"],
+            ["stream", "days", "--shards", "2"],
+            ["stream", "days", "--approximate"],
+            ["serve", "days", "--shards", "2"],
+            ["serve", "days", "--approximate"],
+            ["serve", "days", "--stream"],
         ],
-        ids=["exact", "approximate", "flat", "exact3", "approximate4"],
+        ids=["stream-shards", "stream-approximate", "serve-shards",
+             "serve-approximate", "serve-stream"],
     )
+    def test_removed_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_serve_file_equals_serve_directory(
-        self, richer_csv, tmp_path, capsys, extra
+        self, richer_csv, tmp_path, capsys
     ):
         """A claims CSV is served as a one-day directory, byte for byte."""
         days = tmp_path / "days"
@@ -421,28 +366,12 @@ class TestServeAndQuery:
         from_file, from_dir = tmp_path / "file.json", tmp_path / "dir.json"
         methods = ["--method", "Vote", "--method", "AccuSim"]
         assert main([
-            "serve", str(richer_csv), "--store", str(from_file), *methods, *extra,
+            "serve", str(richer_csv), "--store", str(from_file), *methods,
         ]) == 0
         assert main([
-            "serve", str(days), "--store", str(from_dir), *methods, *extra,
+            "serve", str(days), "--store", str(from_dir), *methods,
         ]) == 0
         assert from_file.read_bytes() == from_dir.read_bytes()
-
-    def test_exact_shards_serve_the_unsharded_store(
-        self, richer_csv, tmp_path, capsys
-    ):
-        """`--shards K` without --approximate asks for the exact answer,
-        which is the unsharded run: the store is the same, byte for byte."""
-        flat, sharded = tmp_path / "flat.json", tmp_path / "sharded.json"
-        methods = ["--method", "Vote", "--method", "AccuSim"]
-        assert main([
-            "serve", str(richer_csv), "--store", str(flat), *methods,
-        ]) == 0
-        assert main([
-            "serve", str(richer_csv), "--store", str(sharded), *methods,
-            "--shards", "3",
-        ]) == 0
-        assert flat.read_bytes() == sharded.read_bytes()
 
     def test_serve_malformed_file_writes_no_store(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

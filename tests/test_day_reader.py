@@ -68,12 +68,12 @@ def _serve(days, tmp_path, methods, *extra):
     ])
 
 
-def _reference(days, methods, shards=1, monotonic=False):
+def _reference(days, methods, monotonic=False):
     """The snapshot path: every readable file parsed whole and ingested."""
     store = TruthStore(monotonic_days=monotonic)
     seen = []
     store.add_listener(seen.append)
-    with TruthService(list(methods), store=store, shards=shards) as service:
+    with TruthService(list(methods), store=store) as service:
         for path in sorted(days.glob("*.csv")):
             try:
                 dataset = read_claims_csv(path)
@@ -117,24 +117,12 @@ def stream_days(stock_snapshot, tmp_path_factory):
     )
 
 
-@pytest.mark.parametrize(
-    "extra, shards",
-    [
-        ((), 1),
-        # Without --approximate the exact answer is the unsharded run.
-        (("--shards", "2"), 1),
-        (("--shards", "2", "--approximate"), 2),
-    ],
-    ids=["flat", "exact-shards", "independent-shards"],
-)
 def test_serve_dir_matches_snapshot_ingest(
-    stream_days, tmp_path, published, snapshot_reads, extra, shards
+    stream_days, tmp_path, published, snapshot_reads
 ):
-    assert _serve(stream_days, tmp_path, METHODS, *extra) == 0
+    assert _serve(stream_days, tmp_path, METHODS) == 0
     assert len(snapshot_reads) == 1  # every later day was a delta
-    _assert_same_versions(
-        published, _reference(stream_days, METHODS, shards)
-    )
+    _assert_same_versions(published, _reference(stream_days, METHODS))
     assert [snap.version for snap in published] == list(range(1, 7))
 
 

@@ -1,4 +1,4 @@
-"""The truth-serving layer: versioned stores, shard merges, refresh safety."""
+"""The truth-serving layer: versioned stores, service publishes, refresh safety."""
 
 import json
 import threading
@@ -10,7 +10,7 @@ from repro.core.records import Claim, DataItem
 from repro.errors import FusionError, StalePublishError
 from repro.fusion.base import FusionResult
 from repro.fusion.registry import make_method
-from repro.serving import TruthService, TruthStore, merge_shard_trust
+from repro.serving import TruthService, TruthStore
 
 from tests.helpers import build_dataset
 
@@ -182,34 +182,11 @@ class TestTruthStoreBasics:
         assert store.ensemble("o1", "price").value == 2.0
 
 
-class TestShardedPublish:
-    def test_trust_merges_by_claim_weight(self):
-        trusts = [{"s1": 1.0, "s2": 0.0}, {"s1": 0.0, "s2": 1.0}]
-        weights = [{"s1": 3.0, "s2": 1.0}, {"s1": 1.0, "s2": 3.0}]
-        merged = merge_shard_trust(trusts, weights)
-        assert merged["s1"] == pytest.approx(0.75)
-        assert merged["s2"] == pytest.approx(0.75)
-        # Without weights the merge is a plain mean.
-        assert merge_shard_trust(trusts)["s1"] == pytest.approx(0.5)
-
-    def test_merge_shard_trust_rejects_short_weights(self):
-        trusts = [{"s1": 0.2}, {"s1": 0.6}]
-        with pytest.raises(FusionError, match="2 shard trust maps.*1 weight"):
-            merge_shard_trust(trusts, weights=[{"s1": 1.0}])
-        # Matching lengths still work.
-        merged = merge_shard_trust(trusts, weights=[{"s1": 1.0}, {"s1": 1.0}])
-        assert merged["s1"] == pytest.approx(0.4)
-
-    def test_zero_weight_source_falls_back_to_plain_mean(self):
-        merged = merge_shard_trust(
-            [{"s1": 0.2}, {"s1": 0.6}], weights=[{"s1": 0.0}, {"s1": 0.0}]
-        )
-        assert merged["s1"] == pytest.approx(0.4)
-
+class TestServicePublish:
     def test_exact_service_equals_unsharded_publish(self, dataset):
         from repro.fusion.base import FusionProblem
 
-        with TruthService(["Vote"], shards=1) as service:
+        with TruthService(["Vote"]) as service:
             service.ingest(dataset)
             exact = service.store
         flat = TruthStore()
@@ -219,45 +196,23 @@ class TestShardedPublish:
         assert exact.snapshot().truths == flat.snapshot().truths
         assert exact.snapshot().trust == flat.snapshot().trust
 
-    def test_independent_service_answers_every_item(self, dataset):
-        with TruthService(["Vote"], shards=2) as service:
-            service.ingest(dataset)
-            store = service.store
-        # Every item answered, trust merged over the full source universe.
-        for obj, attr in (("o1", "price"), ("o2", "price"), ("o3", "gate")):
-            assert store.lookup(obj, attr) is not None
-        for source in ("s1", "s2", "s3"):
-            assert store.trust(source) is not None
+    def test_service_on_workers_matches_serial(self, stock_snapshot):
+        from repro.parallel import SolveScheduler
 
-    def test_independent_trust_is_the_claim_weighted_shard_mean(
-        self, stock_snapshot
-    ):
-        from repro.streaming import shard_of_object
+        if not SolveScheduler(workers=2).parallel:
+            pytest.skip("platform has no usable shared memory")
+        methods = ["Vote", "AccuSim", "AccuCopy"]
+        snapshots = []
+        for workers in (0, 2):
+            with TruthService(methods, workers=workers) as service:
+                service.ingest(stock_snapshot)
+                snap = service.store.snapshot()
+                snapshots.append((snap.day, snap.methods, snap.truths, snap.trust))
+        assert snapshots[0] == snapshots[1]
 
-        n_shards = 3
-        with TruthService(["AccuSim"], shards=n_shards) as service:
-            service.ingest(stock_snapshot)
-            trust = service.store.snapshot().trust["AccuSim"]
-            by_shard = service.runner.steps[-1].shard_results
-        # Each shard's evidence for a source is its claim count there.
-        weights = [{} for _ in range(n_shards)]
-        for item, source_id, _claim in stock_snapshot.iter_claims():
-            shard = weights[shard_of_object(item.object_id, n_shards)]
-            shard[source_id] = shard.get(source_id, 0.0) + 1.0
-        live = sorted(by_shard)
-        assert len(live) > 1
-        shard_trusts = [by_shard[k]["AccuSim"].trust for k in live]
-        assert trust == merge_shard_trust(
-            shard_trusts, [weights[k] for k in live]
-        )
-        assert trust != merge_shard_trust(shard_trusts)
-
-    @pytest.mark.parametrize("shards", [1, 2], ids=["flat", "independent"])
-    def test_empty_day_fails_and_leaves_the_store_unchanged(
-        self, dataset, shards
-    ):
+    def test_empty_day_fails_and_leaves_the_store_unchanged(self, dataset):
         """A day that retracts every claim raises; nothing is published."""
-        with TruthService(["Vote", "AccuSim"], shards=shards) as service:
+        with TruthService(["Vote", "AccuSim"]) as service:
             service.ingest(dataset)
             before = service.store.snapshot()
             everything = tuple(
