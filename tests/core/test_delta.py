@@ -296,20 +296,18 @@ class TestOneDayStream:
             SeriesCompiler().ingest(dataset).problem(), FusionProblem(dataset)
         )
 
+    @pytest.mark.parametrize("name", METHOD_NAMES)
     @given(table=claim_tables())
     @settings(
         max_examples=8, deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_day_runs_all_sixteen_methods_identically(self, table):
+    def test_day_runs_each_method_identically(self, name, table):
         dataset = build_dataset(table)
-        base = FusionProblem(dataset)
-        ours = SeriesCompiler().ingest(dataset).problem()
-        for name in METHOD_NAMES:
-            result = make_method(name).run(ours)
-            reference = make_method(name).run(base)
-            assert result.selected == reference.selected, name
-            assert result.trust == reference.trust, name
+        result = make_method(name).run(SeriesCompiler().ingest(dataset).problem())
+        reference = make_method(name).run(FusionProblem(dataset))
+        assert result.selected == reference.selected
+        assert result.trust == reference.trust
 
     def test_exact_service_publishes_the_unsharded_store(self, stock_snapshot):
         methods = list(METHOD_NAMES)

@@ -285,3 +285,72 @@ class TestStreamRunner:
             StreamRunner(["Vote"], compiler=SeriesCompiler())
         with pytest.raises(TypeError):
             TruthService(["Vote"], shards=2)
+
+
+def _stream_inputs(stock_collection):
+    """A snapshot day, two explicit delta days, then a snapshot day."""
+    from repro.datagen import perturbed_claim_stream
+
+    base = stock_collection.series.snapshots[0]
+    stream = perturbed_claim_stream(base, n_days=3, churn=0.03, seed=5)
+    return stream, stream.snapshots[-1]
+
+
+def _feed(runner, stream, last):
+    steps = [runner.push(stream.base)]
+    steps += [runner.push_delta(delta) for delta in stream.deltas[:-1]]
+    steps.append(runner.push(last))
+    return steps
+
+
+def _assert_same_results(ours, theirs, name):
+    for a, b in zip(ours, theirs):
+        assert a.day == b.day
+        assert a.results[name].selected == b.results[name].selected, a.day
+        assert a.results[name].rounds == b.results[name].rounds, a.day
+        # Bit-identical: sharing a day's compile with other methods (and
+        # with their copy tracking) must not touch this method's numbers.
+        assert a.results[name].trust == b.results[name].trust, a.day
+
+
+@pytest.fixture(scope="module")
+def joint_steps(stock_collection):
+    from repro.streaming import StreamRunner
+
+    runner = StreamRunner(list(METHOD_NAMES), warm_start=True)
+    return _feed(runner, *_stream_inputs(stock_collection))
+
+
+class TestJointStream:
+    """One runner over every method == one runner per method."""
+
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_joint_runner_matches_single_method_runner(
+        self, stock_collection, joint_steps, name
+    ):
+        from repro.streaming import StreamRunner
+
+        alone = _feed(
+            StreamRunner([name], warm_start=True),
+            *_stream_inputs(stock_collection),
+        )
+        assert len(alone) == len(joint_steps) == 4
+        _assert_same_results(joint_steps, alone, name)
+
+    @pytest.mark.parametrize(
+        "name", ["Vote", "AccuSim", "AccuCopy", "AccuSimAttr", "2-Estimates"]
+    )
+    def test_delta_days_match_snapshot_days(self, stock_collection, name):
+        """A warm stream fed explicit deltas == the same days as snapshots."""
+        from repro.streaming import StreamRunner
+
+        stream, _last = _stream_inputs(stock_collection)
+        by_delta = StreamRunner([name], warm_start=True)
+        by_snapshot = StreamRunner([name], warm_start=True)
+        ours = [by_delta.push(stream.base)]
+        theirs = [by_snapshot.push(stream.base)]
+        for delta, snapshot in zip(stream.deltas, stream.snapshots):
+            ours.append(by_delta.push_delta(delta))
+            theirs.append(by_snapshot.push(snapshot))
+        assert by_delta.days == by_snapshot.days
+        _assert_same_results(ours, theirs, name)
