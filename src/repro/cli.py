@@ -19,7 +19,10 @@ filename order) through warm fusion sessions, emitting each day's
 selections and trust as it lands.  ``serve`` streams a directory of daily
 CSVs through warm sessions into a versioned
 :class:`~repro.serving.TruthStore` JSON file, one version per day; a
-single claims CSV is served as a one-day directory.  ``query`` answers
+single claims CSV is served as a one-day directory.  A background
+:class:`~repro.serving.StoreWriter` saves the file, so the next day never
+waits on it; the file always holds one complete version, and the last one
+by the time ``serve`` returns or starts its listener wait.  ``query`` answers
 point lookups, ensemble answers, and trust reads from that file without
 re-solving anything.
 
@@ -36,12 +39,13 @@ prebuilt store JSON can be served directly (``serve store.json --listen``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.errors import StalePublishError, ValueParseError
+from repro.errors import StalePublishError, StoreWriteError, ValueParseError
 from repro.evaluation.metrics import evaluate
 from repro.fusion.base import FusionProblem
 from repro.fusion.registry import METHOD_NAMES
@@ -261,7 +265,7 @@ def _listen_wait(args: argparse.Namespace) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serving import TruthService, TruthStore
+    from repro.serving import StoreWriter, TruthStore
 
     listen = None
     if args.listen is not None:
@@ -307,67 +311,107 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    store_error = _store_path_error(Path(args.store))
+    if store_error is not None:
+        print(f"cannot write store {args.store}: {store_error}", file=sys.stderr)
+        return 2
     # Live listeners get a monotonic store: the publish loop is exactly
     # where a delayed re-publish of an older day would otherwise silently
     # overwrite a newer snapshot under concurrent readers.
     store = TruthStore(monotonic_days=listen is not None)
     handle = _start_listener(args, listen, store) if listen else None
     try:
-        # Every daily CSV becomes the next store version.  After the first,
-        # each file is diffed against the last consumed one and applied as
-        # a claim delta.
-        with TruthService(
-            methods,
-            {name: dict(kwargs) for name in methods} if kwargs else None,
-            workers=args.workers,
-            store=store,
-        ) as service:
-            reader = ClaimsDayReader()
-            for path in paths:
-                day = _read_day(reader, path)
-                if day is None:
-                    continue
-                step = reader.push(day, service.runner)
-                try:
-                    version = store.publish_step(step)
-                except StalePublishError as error:
+        # The writer saves in the background, so the next day's solve
+        # never waits on the previous day's file.
+        with StoreWriter(store, args.store) as writer:
+            try:
+                _serve_days(args, paths, methods, kwargs, store, writer, handle)
+                if store.version == 0:
                     print(
-                        f"warning: skipping {path.name}: {error}",
+                        f"no claims day in {source} could be served",
                         file=sys.stderr,
                     )
-                    continue
-                store.save(args.store)
-                if handle is not None:
-                    handle.broadcast("day", {
-                        "day": step.day,
-                        "version": version,
-                        "compile_s": round(step.compile_seconds, 4),
-                        "rounds": {
-                            name: result.rounds
-                            for name, result in step.results.items()
-                        },
-                    })
+                    return 1
+                writer.flush()
                 print(
-                    f"{store.day}: version {version}, "
-                    f"{store.n_items} items -> {args.store}",
+                    f"saved version {store.version} to {args.store}",
                     file=sys.stderr,
                 )
-        if store.version == 0:
-            print(f"no claims day in {source} could be served", file=sys.stderr)
-            return 1
-        if handle is not None:
-            _listen_wait(args)
-    except KeyboardInterrupt:
-        # An interrupt is how a live server is asked to stop.  One that
-        # lands before the listener wait (the last day still saving) ends
-        # the run the same way; saves are atomic, so the store file holds
-        # the previous complete version.
-        if handle is None:
-            raise
+                if handle is not None:
+                    _listen_wait(args)
+            except KeyboardInterrupt:
+                # An interrupt is how a live server is asked to stop.  One
+                # that lands before the listener wait (a day still solving
+                # or saving) ends the run the same way; closing the writer
+                # lets its save in flight finish, and saves are atomic, so
+                # the store file holds one complete version.
+                if handle is None:
+                    raise
+    except StoreWriteError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     finally:
         if handle is not None:
             handle.stop()
     return 0
+
+
+def _store_path_error(path: Path) -> Optional[str]:
+    """Why a store file cannot be written at ``path`` (``None`` if it can)."""
+    directory = path.parent
+    if not directory.is_dir():
+        return f"directory {directory} does not exist"
+    if path.is_dir():
+        return "it is a directory"
+    if not os.access(directory, os.W_OK | os.X_OK):
+        return f"directory {directory} is not writable"
+    return None
+
+
+def _serve_days(args, paths, methods, kwargs, store, writer, handle) -> None:
+    """Publish every daily CSV as the next store version."""
+    from repro.serving import TruthService
+
+    # After the first day, each file is diffed against the last consumed one
+    # and applied as a claim delta.
+    with TruthService(
+        methods,
+        {name: dict(kwargs) for name in methods} if kwargs else None,
+        workers=args.workers,
+        store=store,
+    ) as service:
+        reader = ClaimsDayReader()
+        for path in paths:
+            day = _read_day(reader, path)
+            if day is None:
+                continue
+            step = reader.push(day, service.runner)
+            try:
+                version = store.publish_step(step)
+            except StalePublishError as error:
+                print(
+                    f"warning: skipping {path.name}: {error}",
+                    file=sys.stderr,
+                )
+                continue
+            writer.check()
+            if handle is not None:
+                handle.broadcast("day", {
+                    "day": step.day,
+                    "version": version,
+                    "compile_s": round(step.compile_seconds, 4),
+                    "rounds": {
+                        name: result.rounds
+                        for name, result in step.results.items()
+                    },
+                })
+            # The file catches up in the background: this line reports
+            # the publish, not the save.
+            print(
+                f"{step.day}: published version {version}, "
+                f"{store.n_items} items",
+                file=sys.stderr,
+            )
 
 
 def _cmd_query(args: argparse.Namespace) -> int:

@@ -48,3 +48,12 @@ class StalePublishError(FusionError):
     the delayed re-publish of an old snapshot that would otherwise silently
     overwrite newer truths under a live publish loop.
     """
+
+
+class StoreWriteError(ReproError):
+    """A :class:`~repro.serving.StoreWriter` could not save the store file.
+
+    The save ran on the writer's background thread; the error is raised
+    again in the thread that publishes, flushes or closes, chained to the
+    original exception.
+    """

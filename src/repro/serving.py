@@ -22,7 +22,9 @@ module is the read path:
 
 Stores serialize to JSON (:meth:`TruthStore.save` / :meth:`TruthStore.load`)
 so ``cli serve`` can solve once and ``cli query`` can answer point lookups
-from the file without ever re-solving.
+from the file without ever re-solving.  :class:`StoreWriter` keeps that
+file current from a background thread, so publishing the next day never
+waits on the previous day's save.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.records import DataItem, Value
-from repro.errors import FusionError, StalePublishError
+from repro.errors import FusionError, StalePublishError, StoreWriteError
 from repro.io import PathLike, _decode_value, _encode_value
 
 __all__ = [
     "TruthAnswer",
     "StoreSnapshot",
     "TruthStore",
+    "StoreWriter",
     "TruthService",
 ]
 
@@ -299,7 +302,8 @@ class TruthStore:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2)
+                # json.dumps, unlike json.dump, runs the C encoder.
+                handle.write(json.dumps(payload, separators=(",", ":")))
             os.replace(tmp_path, target)
         except BaseException:
             try:
@@ -331,6 +335,98 @@ class TruthStore:
             },
         )
         return store
+
+
+class StoreWriter:
+    """Keeps one store file at the newest version a :class:`TruthStore` published.
+
+    One background thread (named ``store-writer``) calls
+    :meth:`TruthStore.save` whenever the store holds a version newer than
+    the last one it wrote; versions published while a save runs coalesce,
+    and the next save writes only the newest.  With a single writer and
+    atomic saves, the file always holds one complete published version and
+    its version never goes backwards.
+
+    :meth:`flush` waits until the file holds the newest published version.
+    :meth:`close` lets the save in flight finish, drops any newer pending
+    version and joins the thread.  A failed save stops the thread; the
+    failure is raised as :class:`~repro.errors.StoreWriteError` in the
+    caller's thread by the next :meth:`check`, :meth:`flush` or
+    :meth:`close`.
+    """
+
+    def __init__(self, store: TruthStore, path: PathLike):
+        self._store = store
+        self._path = path
+        self._cond = threading.Condition()
+        self._published = store.version
+        self._written = 0
+        self._closing = False
+        self._failure: Optional[BaseException] = None
+        self._failure_raised = False
+        store.add_listener(self._on_publish)
+        self._thread = threading.Thread(
+            target=self._run, name="store-writer", daemon=True
+        )
+        self._thread.start()
+
+    def _on_publish(self, snapshot: StoreSnapshot) -> None:
+        with self._cond:
+            self._published = snapshot.version
+            self._cond.notify_all()
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                while not self._closing and self._written >= self._published:
+                    self._cond.wait()
+                if self._closing:
+                    return
+                # save() reads the store's snapshot after this point, so the
+                # file ends up at this version or a newer one.
+                version = self._published
+            try:
+                self._store.save(self._path)
+            except BaseException as error:  # raised again by check()
+                with self._cond:
+                    self._failure = error
+                    self._cond.notify_all()
+                return
+            with self._cond:
+                self._written = version
+                self._cond.notify_all()
+
+    def check(self) -> None:
+        """Raise :class:`~repro.errors.StoreWriteError` if a save failed."""
+        with self._cond:
+            failure = None if self._failure_raised else self._failure
+            self._failure_raised = self._failure is not None
+        if failure is not None:
+            raise StoreWriteError(
+                f"cannot write store {os.fspath(self._path)}: "
+                f"{type(failure).__name__}: {failure}"
+            ) from failure
+
+    def flush(self) -> None:
+        """Block until the file holds the newest published version."""
+        with self._cond:
+            while self._failure is None and self._written < self._published:
+                self._cond.wait()
+        self.check()
+
+    def close(self) -> None:
+        """Finish the save in flight, drop newer pending versions, join."""
+        with self._cond:
+            self._closing = True
+            self._cond.notify_all()
+        self._thread.join()
+        self.check()
+
+    def __enter__(self) -> "StoreWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class TruthService:

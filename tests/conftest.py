@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import faulthandler
+
 import pytest
 
 from repro.datagen import (
@@ -53,3 +55,15 @@ def stock_problem(stock_snapshot):
 @pytest.fixture(scope="session")
 def flight_problem(flight_snapshot):
     return FusionProblem(flight_snapshot)
+
+
+@pytest.fixture()
+def hang_guard():
+    """Abort the run with every thread's traceback if a test hangs.
+
+    The store writer's tests wait on a background thread; a lost wake-up
+    would otherwise block forever instead of failing.
+    """
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()

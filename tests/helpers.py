@@ -5,11 +5,13 @@
 ("three sources say 10, one says 99") in a couple of lines.
 ``claim_tables`` draws such tables at random for property tests, and
 ``assert_problems_bitwise_equal`` pins two compiled problems as
-interchangeable.
+interchangeable.  ``writer_threads`` lists the live background store
+writers.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -121,3 +123,7 @@ def assert_same_structure(ours, base) -> None:
     assert ours.items == base.items
     assert ours.sources == base.sources
 
+
+def writer_threads():
+    """The live ``store-writer`` threads (none once ``serve`` returns)."""
+    return [t for t in threading.enumerate() if t.name == "store-writer"]

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import signal
 import socket
 import threading
 import time
@@ -11,10 +12,52 @@ import pytest
 
 from repro.cli import main
 from repro.fusion import native
-from repro.io import write_claims_csv, write_gold_csv
-from repro.serving import TruthStore
+from repro.io import ClaimsDayReader, write_claims_csv, write_gold_csv
+from repro.serving import TruthService, TruthStore
 
-from tests.helpers import build_dataset, build_gold
+from tests.helpers import build_dataset, build_gold, writer_threads
+
+pytestmark = pytest.mark.usefixtures("hang_guard")
+
+
+#: A store as the earlier ``indent=2`` encoder wrote it.
+INDENTED_STORE = """{
+  "version": 3,
+  "day": "2011-07-03",
+  "methods": [
+    "Vote",
+    "AccuSim"
+  ],
+  "truths": [
+    {
+      "object": "o1",
+      "attribute": "price",
+      "values": {
+        "Vote": "f:10.0",
+        "AccuSim": "f:10.5"
+      }
+    },
+    {
+      "object": "o3",
+      "attribute": "gate",
+      "values": {
+        "Vote": "s:A1",
+        "AccuSim": "s:A1"
+      }
+    }
+  ],
+  "trust": {
+    "Vote": {
+      "s1": 0.9,
+      "s2": 0.4
+    },
+    "AccuSim": {
+      "s1": 0.8,
+      "s2": 0.3
+    }
+  }
+}
+"""
 
 
 @pytest.fixture()
@@ -402,6 +445,113 @@ class TestServeAndQuery:
             in capsys.readouterr().err
         )
 
+    def test_serve_rejects_an_unwritable_store_before_solving(
+        self, richer_csv, tmp_path, capsys
+    ):
+        missing = tmp_path / "missing_dir" / "store.json"
+        assert main(["serve", str(richer_csv), "--store", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"cannot write store {missing}: ")
+        assert "does not exist" in err
+        assert main(["serve", str(richer_csv), "--store", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is a directory" in err
+        assert not writer_threads()
+
+    def test_failed_store_write_exits_nonzero_with_the_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def failing_save(self, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(TruthStore, "save", failing_save)
+        days = self._write_days(tmp_path / "days", 3)
+        store = tmp_path / "store.json"
+        assert main(["serve", str(days), "--store", str(store)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write store {store}: OSError: " in err
+        assert "No space left on device" in err
+        assert not store.exists()
+        assert not writer_threads()
+
+    def _write_days(self, days, count):
+        days.mkdir()
+        for index in range(count):
+            ds = build_dataset(
+                {
+                    ("s1", "o1", "price"): 10.0 + index,
+                    ("s2", "o1", "price"): 10.0 + index,
+                    ("s3", "o1", "price"): 77.0,
+                    ("s1", "o2", "price"): 5.0,
+                    ("s3", "o2", "price"): float(index),
+                    ("s1", "o3", "gate"): "A1",
+                    ("s3", "o3", "gate"): f"B{index % 2}",
+                },
+                day=f"d{index:02d}",
+            )
+            write_claims_csv(ds, days / f"{index:02d}.csv")
+        return days
+
+    def test_store_version_never_decreases_over_a_day_stream(
+        self, tmp_path, monkeypatch
+    ):
+        days = self._write_days(tmp_path / "days", 8)
+        store = tmp_path / "store.json"
+        written = []
+        save = TruthStore.save
+
+        def recording_save(self, path):
+            save(self, path)
+            written.append(json.loads(store.read_text())["version"])
+
+        monkeypatch.setattr(TruthStore, "save", recording_save)
+        assert main([
+            "serve", str(days), "--method", "Vote", "--store", str(store),
+        ]) == 0
+        assert written and written == sorted(written)
+        assert written[-1] == 8
+        assert not writer_threads()
+
+    def test_store_file_equals_the_final_snapshot_on_return(
+        self, tmp_path, capsys
+    ):
+        days = self._write_days(tmp_path / "days", 5)
+        store = tmp_path / "store.json"
+        methods = ["Vote", "AccuSim"]
+        assert main([
+            "serve", str(days), "--method", "Vote", "--method", "AccuSim",
+            "--store", str(store),
+        ]) == 0
+        assert not writer_threads()
+        err = capsys.readouterr().err
+        assert "d04: published version 5" in err
+        assert f"saved version 5 to {store}" in err
+        with TruthService(methods) as service:
+            reader = ClaimsDayReader()
+            for path in sorted(days.glob("*.csv")):
+                service.store.publish_step(
+                    reader.push(reader.read(path), service.runner)
+                )
+        assert TruthStore.load(store).snapshot() == service.store.snapshot()
+
+    def test_indented_store_still_loads_and_answers_queries(
+        self, tmp_path, capsys
+    ):
+        store = tmp_path / "store.json"
+        store.write_text(INDENTED_STORE, encoding="utf-8")
+        loaded = TruthStore.load(store)
+        assert loaded.version == 3 and loaded.methods == ("Vote", "AccuSim")
+        assert loaded.lookup("o1", "price", method="AccuSim").value == 10.5
+        assert loaded.trust("s2") == 0.4
+        assert main([
+            "query", str(store), "--object", "o3", "--attribute", "gate",
+            "--ensemble",
+        ]) == 0
+        assert "A1\t(Ensemble, version 3, day 2011-07-03)" in (
+            capsys.readouterr().out
+        )
+
     def test_serve_rejects_missing_source(self, tmp_path):
         assert main([
             "serve", str(tmp_path / "nope.csv"), "--store",
@@ -492,7 +642,12 @@ class TestServeListen:
     def test_interrupt_while_saving_the_last_day_exits_cleanly(
         self, tmp_path, monkeypatch
     ):
-        """SIGINT stops a live server even before it reaches the wait."""
+        """SIGINT during the last day's save stops a live server cleanly.
+
+        Day 2 is published only once version 1 is on disk, and the save of
+        version 2 sends SIGINT to the main thread itself, so the interrupt
+        lands while that save is in flight whatever the thread timing.
+        """
         days = tmp_path / "days"
         days.mkdir()
         for index, value in enumerate((10.0, 11.0)):
@@ -501,22 +656,38 @@ class TestServeListen:
                 day=f"d{index}",
             )
             write_claims_csv(ds, days / f"0{index}.csv")
-        save = TruthStore.save
+        store = tmp_path / "store.json"
+        in_flight = []
+        saved_first = threading.Event()
+        save, publish_step = TruthStore.save, TruthStore.publish_step
 
         def interrupted_save(self, path):
-            if self.version == 2:
-                raise KeyboardInterrupt
+            version = self.version
+            if version == 2:
+                # Interrupted mid-save: the file holds the complete version 1.
+                in_flight.append(json.loads(store.read_text())["version"])
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
             save(self, path)
+            if version == 1:
+                saved_first.set()
+
+        def paced_publish_step(self, step):
+            if self.version == 1:
+                assert saved_first.wait(10), "version 1 was never saved"
+            return publish_step(self, step)
 
         monkeypatch.setattr(TruthStore, "save", interrupted_save)
+        monkeypatch.setattr(TruthStore, "publish_step", paced_publish_step)
         port = self._free_port()
-        store = tmp_path / "store.json"
         assert main([
             "serve", str(days), "--method", "Vote", "--store", str(store),
             "--listen", f"127.0.0.1:{port}",
             "--listen-for", "30", "--no-request-log",
         ]) == 0
-        assert json.loads(store.read_text())["version"] == 1
+        assert in_flight == [1]
+        # The save in flight was finished, not torn or abandoned.
+        assert TruthStore.load(store).version == 2
+        assert not writer_threads()
         with pytest.raises(OSError):
             self._get(port, "/health")  # the listener was stopped
 

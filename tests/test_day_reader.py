@@ -20,7 +20,7 @@ from repro.core.dataset import Dataset
 from repro.datagen.streams import perturbed_claim_stream
 from repro.errors import SchemaError, StalePublishError, ValueParseError
 from repro.io import ClaimsDayReader, read_claims_csv, write_claims_csv
-from repro.serving import TruthService, TruthStore
+from repro.serving import StoreWriter, TruthService, TruthStore
 from repro.streaming import StreamRunner
 
 from tests.helpers import build_dataset
@@ -49,15 +49,19 @@ def snapshot_reads(monkeypatch):
 
 @pytest.fixture()
 def published(monkeypatch):
-    """Every snapshot ``cli serve`` saves, in order."""
+    """Every snapshot ``cli serve`` publishes, in order.
+
+    Captured at publish, not at save: the background store writer saves
+    only the newest of the versions published while it was busy.
+    """
     seen = []
-    original = TruthStore.save
+    original = StoreWriter.__init__
 
-    def save(self, path):
-        seen.append(self.snapshot())
-        original(self, path)
+    def init(self, store, path):
+        store.add_listener(seen.append)
+        original(self, store, path)
 
-    monkeypatch.setattr(TruthStore, "save", save)
+    monkeypatch.setattr(StoreWriter, "__init__", init)
     return seen
 
 

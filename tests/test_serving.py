@@ -1,18 +1,22 @@
 """The truth-serving layer: versioned stores, service publishes, refresh safety."""
 
 import json
+import os
+import sys
 import threading
 
 import pytest
 
 from repro.core.delta import ClaimDelta
 from repro.core.records import Claim, DataItem
-from repro.errors import FusionError, StalePublishError
+from repro.errors import FusionError, StalePublishError, StoreWriteError
 from repro.fusion.base import FusionResult
 from repro.fusion.registry import make_method
-from repro.serving import TruthService, TruthStore
+from repro.serving import StoreWriter, TruthService, TruthStore
 
-from tests.helpers import build_dataset
+from tests.helpers import build_dataset, writer_threads
+
+pytestmark = pytest.mark.usefixtures("hang_guard")
 
 
 def _result(method, values, trust, day=None):
@@ -144,15 +148,23 @@ class TestTruthStoreBasics:
         })
         store.save(path)
         good = path.read_text(encoding="utf-8")
+        real_fdopen = os.fdopen
 
-        def dying_dump(payload, handle, **kwargs):
-            handle.write('{"version": 99, "day": "torn')  # partial write ...
-            raise KeyboardInterrupt("killed mid-save")    # ... then the kill
+        def dying_fdopen(fd, *args, **kwargs):
+            handle = real_fdopen(fd, *args, **kwargs)
+            write = handle.write
+
+            def dying_write(text):
+                write(text[: len(text) // 2])               # partial write ...
+                raise KeyboardInterrupt("killed mid-save")  # ... then the kill
+
+            handle.write = dying_write
+            return handle
 
         store.publish("d1", {
             "Vote": _result("Vote", {("o1", "price"): 2.0}, {"s1": 0.1}),
         })
-        monkeypatch.setattr("repro.serving.json.dump", dying_dump)
+        monkeypatch.setattr("repro.serving.os.fdopen", dying_fdopen)
         with pytest.raises(KeyboardInterrupt):
             store.save(path)
         monkeypatch.undo()
@@ -282,6 +294,129 @@ class TestRefreshSafety:
         assert store.lookup("o1", "price").value == 2.0
         assert store.lookup("o1", "price", snapshot=snap).value == 1.0
         assert store.lookup("o1", "price", snapshot=snap).version == 1
+
+
+def _publish_version(store, v):
+    return store.publish(f"day{v}", {
+        "Vote": _result("Vote", {("o1", "price"): float(v)}, {"s1": v / 1000}),
+    })
+
+
+class TestStoreWriter:
+    """The background writer behind `cli serve`: one thread, newest version."""
+
+    def test_saves_coalesce_to_the_newest_version(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.json"
+        started, release = threading.Event(), threading.Event()
+        saved = []
+        save = TruthStore.save
+
+        def slow_save(self, target):
+            started.set()
+            assert release.wait(10)
+            save(self, target)
+            saved.append(self.version)
+
+        monkeypatch.setattr(TruthStore, "save", slow_save)
+        store = TruthStore()
+        with StoreWriter(store, path) as writer:
+            _publish_version(store, 1)
+            assert started.wait(10)  # the save of version 1 is in flight
+            for v in (2, 3, 4):
+                _publish_version(store, v)
+            release.set()
+            writer.flush()
+        # Versions 2 and 3 were never written on their own.
+        assert saved[-1] == 4 and len(saved) == 2
+        assert TruthStore.load(path).version == 4
+        assert not writer_threads()
+
+    def test_failed_save_is_raised_in_the_callers_thread(
+        self, tmp_path, monkeypatch
+    ):
+        def failing_save(self, target):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(TruthStore, "save", failing_save)
+        store = TruthStore()
+        writer = StoreWriter(store, tmp_path / "store.json")
+        _publish_version(store, 1)
+        with pytest.raises(StoreWriteError, match="No space left") as excinfo:
+            writer.flush()
+        assert isinstance(excinfo.value.__cause__, OSError)
+        writer.close()  # raised once, not again
+        assert not writer_threads()
+        assert not (tmp_path / "store.json").exists()
+
+    def test_failure_not_yet_raised_surfaces_on_close(self, tmp_path, monkeypatch):
+        failed = threading.Event()
+
+        def failing_save(self, target):
+            failed.set()
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(TruthStore, "save", failing_save)
+        store = TruthStore()
+        writer = StoreWriter(store, tmp_path / "store.json")
+        _publish_version(store, 1)
+        assert failed.wait(10)
+        with pytest.raises(StoreWriteError, match="Input/output error"):
+            writer.close()
+        assert not writer_threads()
+
+    def test_stress_file_versions_never_go_backwards(self, tmp_path):
+        """Readers of the file race 300 publishes on a fast switch interval:
+        every read parses, versions never decrease, the last one lands."""
+        path = tmp_path / "store.json"
+        store = TruthStore()
+        stop = threading.Event()
+        errors = []
+
+        def reader():
+            last = 0
+            while not stop.is_set():
+                try:
+                    text = path.read_text(encoding="utf-8")
+                except FileNotFoundError:
+                    continue
+                version = json.loads(text)["version"]
+                if version < last:
+                    errors.append((last, version))
+                    return
+                last = version
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        try:
+            with StoreWriter(store, path) as writer:
+                for thread in readers:
+                    thread.start()
+                for v in range(1, 301):
+                    _publish_version(store, v)
+                flusher = threading.Thread(target=writer.flush)
+                flusher.start()
+                flusher.join(30)
+                assert not flusher.is_alive(), "the last publish was lost"
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            for thread in readers:
+                thread.join(10)
+        assert not any(thread.is_alive() for thread in readers)
+        assert not errors, errors[:3]
+        loaded = TruthStore.load(path)
+        assert loaded.version == 300 and loaded.lookup("o1", "price").value == 300.0
+        assert not writer_threads()
+
+    def test_save_writes_compact_json(self, tmp_path):
+        store = TruthStore()
+        _publish_version(store, 1)
+        path = tmp_path / "store.json"
+        store.save(path)
+        text = path.read_text(encoding="utf-8")
+        assert "\n" not in text and ": " not in text and ", " not in text
+        assert TruthStore.load(path).snapshot() == store.snapshot()
 
 
 class TestMonotonicPublishes:
