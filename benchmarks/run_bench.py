@@ -585,8 +585,8 @@ def bench_service(scale: str, repeat: int) -> Dict[str, object]:
     reference.publish(snapshot.day, direct)
 
     def ingest():
-        with TruthService(methods) as service:
-            service.ingest(snapshot)
+        service = TruthService(methods)
+        service.ingest(snapshot)
         return service.store
 
     service_s = _best_of(repeat, ingest)

@@ -34,6 +34,9 @@ surfaces each day's publish and solve progress live.  The listener starts
 days land; the store is built with ``monotonic_days=True`` so a delayed
 re-publish of an older day can never overwrite a newer snapshot.  A
 prebuilt store JSON can be served directly (``serve store.json --listen``).
+
+``fuse``, ``stream`` and ``serve`` solve in process and start no worker
+pool; only ``python -m repro.experiments --workers N`` fans solves out.
 """
 
 from __future__ import annotations
@@ -93,12 +96,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     methods = args.method or ["AccuSim"]
     kwargs = _method_kwargs(args)
     problem = FusionProblem(dataset)
-    # One compiled problem, one method run each; several methods fan out
-    # across the worker pool.
+    # One compiled problem, one method run each.
     outcomes = solve_methods(
         problem,
         methods,
-        workers=args.workers,
         method_kwargs={name: dict(kwargs) for name in methods},
     )
     gold = read_gold_csv(args.gold) if args.gold else None
@@ -141,16 +142,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         methods,
         {name: dict(kwargs) for name in methods} if kwargs else None,
         warm_start=not args.cold,
-        workers=args.workers,
     )
     output_dir = Path(args.output_dir) if args.output_dir else None
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
-
-    try:
-        return _stream_loop(args, directory, methods, runner, output_dir)
-    finally:
-        runner.close()
+    return _stream_loop(args, directory, methods, runner, output_dir)
 
 
 def _read_day(reader: ClaimsDayReader, path: Path):
@@ -374,44 +370,43 @@ def _serve_days(args, paths, methods, kwargs, store, writer, handle) -> None:
 
     # After the first day, each file is diffed against the last consumed one
     # and applied as a claim delta.
-    with TruthService(
+    service = TruthService(
         methods,
         {name: dict(kwargs) for name in methods} if kwargs else None,
-        workers=args.workers,
         store=store,
-    ) as service:
-        reader = ClaimsDayReader()
-        for path in paths:
-            day = _read_day(reader, path)
-            if day is None:
-                continue
-            step = reader.push(day, service.runner)
-            try:
-                version = store.publish_step(step)
-            except StalePublishError as error:
-                print(
-                    f"warning: skipping {path.name}: {error}",
-                    file=sys.stderr,
-                )
-                continue
-            writer.check()
-            if handle is not None:
-                handle.broadcast("day", {
-                    "day": step.day,
-                    "version": version,
-                    "compile_s": round(step.compile_seconds, 4),
-                    "rounds": {
-                        name: result.rounds
-                        for name, result in step.results.items()
-                    },
-                })
-            # The file catches up in the background: this line reports
-            # the publish, not the save.
+    )
+    reader = ClaimsDayReader()
+    for path in paths:
+        day = _read_day(reader, path)
+        if day is None:
+            continue
+        step = reader.push(day, service.runner)
+        try:
+            version = store.publish_step(step)
+        except StalePublishError as error:
             print(
-                f"{step.day}: published version {version}, "
-                f"{store.n_items} items",
+                f"warning: skipping {path.name}: {error}",
                 file=sys.stderr,
             )
+            continue
+        writer.check()
+        if handle is not None:
+            handle.broadcast("day", {
+                "day": step.day,
+                "version": version,
+                "compile_s": round(step.compile_seconds, 4),
+                "rounds": {
+                    name: result.rounds
+                    for name, result in step.results.items()
+                },
+            })
+        # The file catches up in the background: this line reports
+        # the publish, not the save.
+        print(
+            f"{step.day}: published version {version}, "
+            f"{store.n_items} items",
+            file=sys.stderr,
+        )
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -503,8 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fixed-point execution engine (default: "
                            "REPRO_ENGINE env var, then numpy; native needs "
                            "numba and falls back to numpy with a warning)")
-    fuse.add_argument("--workers", type=int, default=1,
-                      help="worker processes when several methods are given")
     fuse.set_defaults(func=_cmd_fuse)
 
     stream = sub.add_parser(
@@ -531,8 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--engine", choices=("numpy", "native"), default=None,
                         help="fixed-point execution engine (default: "
                              "REPRO_ENGINE env var, then numpy)")
-    stream.add_argument("--workers", type=int, default=1,
-                        help="solve each day's methods across this many workers")
     stream.set_defaults(func=_cmd_stream)
 
     serve = sub.add_parser(
@@ -547,8 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="method(s) to publish (repeatable; default: AccuSim)")
     serve.add_argument("--store", default="truth_store.json",
                        help="output store path (default: truth_store.json)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the solves")
     serve.add_argument("--max-rounds", type=int, default=None,
                        help="cap on fixed-point rounds (method default: 60)")
     serve.add_argument("--tolerance", type=float, default=None,

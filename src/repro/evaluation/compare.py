@@ -8,7 +8,7 @@ introduces, and the net precision change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.dataset import Dataset
 from repro.core.gold import GoldStandard
@@ -67,16 +67,14 @@ def run_comparisons(
     gold: GoldStandard,
     problem: Optional[FusionProblem] = None,
     pairs: Sequence[Tuple[str, str]] = TABLE8_PAIRS,
-    workers: int = 0,
     scheduler=None,
 ) -> List[MethodComparison]:
     """Run every method named in ``pairs`` once and compare the pairs.
 
     The distinct methods are one solve each on the shared compiled problem
-    — an embarrassingly parallel plan, so they fan out through the solve
-    scheduler when ``workers > 1`` (or a shared scheduler is passed).
+    — an embarrassingly parallel plan, so they fan out through a parallel
+    ``scheduler`` when one is passed and solve inline otherwise.
     """
-    from repro.fusion.registry import make_method
     from repro.parallel import solve_methods
 
     names: List[str] = []
@@ -85,15 +83,8 @@ def run_comparisons(
             if name not in names:
                 names.append(name)
     base = problem if problem is not None else FusionProblem(dataset)
-    if workers <= 1 and scheduler is None:
-        results: Dict[str, FusionResult] = {
-            name: make_method(name).run(base) for name in names
-        }
-    else:
-        outcomes = solve_methods(
-            base, names, workers=workers, scheduler=scheduler
-        )
-        results = {name: oc.result for name, oc in zip(names, outcomes)}
+    outcomes = solve_methods(base, names, scheduler=scheduler)
+    results = {name: oc.result for name, oc in zip(names, outcomes)}
     return [
         compare_methods(dataset, gold, results[basic], results[advanced])
         for basic, advanced in pairs

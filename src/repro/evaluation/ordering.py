@@ -56,7 +56,6 @@ def recall_as_sources_added(
     ordering: Optional[List[str]] = None,
     prefix_sizes: Optional[Sequence[int]] = None,
     problem: Optional[FusionProblem] = None,
-    workers: int = 0,
     scheduler=None,
 ) -> Dict[str, RecallCurve]:
     """Figure 9: recall of each method over growing source prefixes.
@@ -68,9 +67,9 @@ def recall_as_sources_added(
     dataset copies or re-clustering.
 
     Prefixes are independent solves, so the sweep compiles every prefix
-    once for all methods (:mod:`repro.fusion.batch`) and, with
-    ``workers > 1`` (or a shared :class:`~repro.parallel.SolveScheduler`),
-    fans out across worker processes — identical recalls either way.
+    once for all methods (:mod:`repro.fusion.batch`) and, given a parallel
+    :class:`~repro.parallel.SolveScheduler`, fans out across its worker
+    processes — identical recalls either way.
     """
     from repro.parallel import solve_sweep
 
@@ -84,7 +83,6 @@ def recall_as_sources_added(
         list(method_names),
         [order[:size] for size in sizes],
         gold=gold,
-        workers=workers,
         scheduler=scheduler,
     )
     return {

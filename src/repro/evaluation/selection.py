@@ -60,25 +60,16 @@ def _subset_recalls(
     gold: GoldStandard,
     subsets: Sequence[Sequence[str]],
     method: str,
-    workers: int = 0,
-    scheduler=None,
 ) -> List[float]:
     """Fusion recall of ``method`` on every subset, as one sweep.
 
-    Every subset is an independent ``restrict_sources`` solve, so they go
-    through the planned scheduler as one sweep — identical recalls to the
-    one-at-a-time :func:`_fusion_recall` loop.
+    Every subset is an independent ``restrict_sources`` solve, compiled
+    once by the batched sweep — identical recalls to the one-at-a-time
+    :func:`_fusion_recall` loop.
     """
     from repro.parallel import solve_sweep
 
-    rows = solve_sweep(
-        base,
-        [method],
-        subsets,
-        gold=gold,
-        workers=workers,
-        scheduler=scheduler,
-    )
+    rows = solve_sweep(base, [method], subsets, gold=gold)
     return [row[0].recall or 0.0 for row in rows]
 
 
@@ -89,16 +80,13 @@ def greedy_source_selection(
     max_sources: Optional[int] = None,
     min_gain: float = 1e-4,
     candidate_pool: Optional[Sequence[str]] = None,
-    workers: int = 0,
-    scheduler=None,
 ) -> SelectionResult:
     """Greedy forward selection maximizing fusion recall on the gold slice.
 
     ``candidate_pool`` restricts the candidates (default: all sources,
     pre-ordered by individual recall so ties resolve sensibly).  Complexity
     is O(|selected| * |pool|) fusion runs — each round's candidate
-    evaluations are independent and run as one (optionally multi-worker)
-    sweep.
+    evaluations are independent and run as one sweep.
     """
     pool = list(
         candidate_pool if candidate_pool is not None else sources_by_recall(dataset, gold)
@@ -113,8 +101,7 @@ def greedy_source_selection(
     current = 0.0
     while pool and len(selected) < limit:
         recalls = _subset_recalls(
-            base, gold, [selected + [c] for c in pool], method,
-            workers=workers, scheduler=scheduler,
+            base, gold, [selected + [c] for c in pool], method
         )
         best_source = None
         best_recall = current
@@ -146,16 +133,13 @@ def recall_prefix_selection(
     gold: GoldStandard,
     method: str = "Vote",
     max_prefix: Optional[int] = None,
-    workers: int = 0,
-    scheduler=None,
 ) -> SelectionResult:
     """Cut the recall-ordered source list at the fusion-recall peak."""
     order = sources_by_recall(dataset, gold)
     limit = min(max_prefix or len(order), len(order))
     base = FusionProblem(dataset)
     history = _subset_recalls(
-        base, gold, [order[:size] for size in range(1, limit + 1)], method,
-        workers=workers, scheduler=scheduler,
+        base, gold, [order[:size] for size in range(1, limit + 1)], method
     )
     best_size = max(range(len(history)), key=lambda i: (history[i], -i)) + 1
     best_recall = history[best_size - 1]

@@ -58,13 +58,14 @@ def precision_over_time(
     days: Optional[Sequence[str]] = None,
     method_kwargs: Optional[Dict[str, dict]] = None,
     warm_start: bool = False,
-    workers: int = 0,
+    scheduler=None,
 ) -> Dict[str, PrecisionSeries]:
     """Table 9: run each method on each day and summarize precision.
 
     Days stay sequential (delta compilation and warm starts are causal),
-    but with ``workers > 1`` the methods within each day solve in parallel
-    through the stream runner's scheduler — identical numbers either way.
+    but given a parallel :class:`~repro.parallel.SolveScheduler` the
+    methods within each day solve across its workers — identical numbers
+    either way.
     """
     from repro.streaming import StreamRunner
 
@@ -73,16 +74,16 @@ def precision_over_time(
         name: PrecisionSeries(method=name, days=[], precisions=[])
         for name in method_names
     }
-    with StreamRunner(
-        method_names, method_kwargs, warm_start=warm_start, workers=workers
-    ) as runner:
-        for snapshot in series:
-            if wanted_days is not None and snapshot.day not in wanted_days:
-                continue
-            gold = gold_by_day[snapshot.day]
-            results = runner.push(snapshot).results
-            for name in method_names:
-                score = evaluate(snapshot, gold, results[name])
-                per_method[name].days.append(snapshot.day)
-                per_method[name].precisions.append(score.precision)
+    runner = StreamRunner(
+        method_names, method_kwargs, warm_start=warm_start, scheduler=scheduler
+    )
+    for snapshot in series:
+        if wanted_days is not None and snapshot.day not in wanted_days:
+            continue
+        gold = gold_by_day[snapshot.day]
+        results = runner.push(snapshot).results
+        for name in method_names:
+            score = evaluate(snapshot, gold, results[name])
+            per_method[name].days.append(snapshot.day)
+            per_method[name].precisions.append(score.precision)
     return per_method

@@ -65,6 +65,8 @@ class ExperimentContext:
     :class:`~repro.parallel.SolveScheduler` behind it — one worker pool,
     and one shared-memory export per compiled problem, reused by every
     experiment that runs in the context (``None`` while ``workers <= 1``).
+    It is the only place that builds a multi-worker scheduler: consumers
+    take it as an argument and :meth:`close` is the one place it stops.
     """
 
     scale: str = "small"

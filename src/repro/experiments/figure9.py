@@ -66,7 +66,6 @@ def run(
             ordering=order,
             prefix_sizes=prefix_sizes,
             problem=ctx.problem(domain),  # compile once, slice per prefix
-            workers=ctx.workers,
             scheduler=ctx.scheduler(),  # prefixes fan out across the pool
         )
         orderings[domain] = order

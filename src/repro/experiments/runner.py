@@ -69,32 +69,21 @@ def run_experiment(
     experiment_id: str,
     scale: str = "small",
     context=None,
-    workers: int = 0,
 ) -> str:
     """Run one experiment and return its rendered report.
 
     Pass ``context`` to share one generated dataset + compiled problem (and
-    one worker pool) across several experiments — ``main('all')`` does.
+    its one worker pool, sized by ``context.workers``) across several
+    experiments — ``main('all')`` does.
     """
     key = ALIASES.get(experiment_id, experiment_id)
     if key not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ConfigError(f"unknown experiment {experiment_id!r}; known: {known}")
-    owned = context is None
     if context is None:
         context = get_context(scale)
-    prior_workers = context.workers
-    if workers:
-        context.workers = workers
     run, render = EXPERIMENTS[key]
-    try:
-        return render(run(context))
-    finally:
-        if owned and workers:
-            # The context is the process-wide cache: don't let a one-off
-            # workers override (or its worker pool) outlive this call.
-            context.workers = prior_workers
-            context.close()
+    return render(run(context))
 
 
 def main(argv=None) -> int:

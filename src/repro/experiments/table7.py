@@ -83,29 +83,29 @@ def run(
         # compiled problem — plan them all and fan out across the pool.
         samples = {name: sample_trust(name, snapshot, gold) for name in method_names}
         calls = [MethodCall(name) for name in method_names]
-        seeded_calls = []
-        for name in method_names:
-            if samples[name] is None:
-                continue
-            kwargs = (
-                {"known_groups": collection.true_copy_groups()}
-                if name == "AccuCopy" else {}
+        seeded_names = [name for name in method_names if samples[name] is not None]
+        seeded_calls = [
+            MethodCall(
+                name,
+                kwargs=(
+                    {"known_groups": collection.true_copy_groups()}
+                    if name == "AccuCopy" else {}
+                ),
+                trust_seed=samples[name],
+                freeze_trust=True,
             )
-            seeded_calls.append(
-                MethodCall(
-                    name, kwargs=kwargs,
-                    trust_seed=samples[name], freeze_trust=True, tag=name,
-                )
-            )
+            for name in seeded_names
+        ]
         outcomes = solve_methods(
-            problem, calls + seeded_calls,
-            workers=ctx.workers, scheduler=ctx.scheduler(),
+            problem, calls + seeded_calls, scheduler=ctx.scheduler()
         )
+        # Outcomes come back in plan order: plain calls, then seeded ones.
         plain_results = {
             name: oc.result for name, oc in zip(method_names, outcomes)
         }
         seeded_results = {
-            oc.tag: oc.result for oc in outcomes[len(calls):]
+            name: oc.result
+            for name, oc in zip(seeded_names, outcomes[len(calls):])
         }
         for name in method_names:
             plain = plain_results[name]

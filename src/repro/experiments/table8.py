@@ -58,7 +58,6 @@ def run(
             collection.gold,
             problem=ctx.problem(domain),
             pairs=pairs,
-            workers=ctx.workers,
             scheduler=ctx.scheduler(),
         )
     return Table8Result(comparisons=comparisons)

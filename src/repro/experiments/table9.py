@@ -73,7 +73,7 @@ def run(
             days = None
         series[domain] = precision_over_time(
             collection.series, collection.gold_by_day, method_names, days=days,
-            warm_start=warm_start, workers=ctx.workers,
+            warm_start=warm_start, scheduler=ctx.scheduler(),
         )
     return Table9Result(series=series)
 

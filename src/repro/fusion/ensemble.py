@@ -87,15 +87,12 @@ def ensemble_of_methods(
     weights: Optional[Sequence[float]] = None,
     validation_precisions: Optional[Dict[str, float]] = None,
     method_kwargs: Optional[Dict[str, dict]] = None,
-    workers: int = 0,
-    scheduler=None,
     name: str = "Ensemble",
 ) -> FusionResult:
-    """Run the member methods (in parallel when asked) and combine them.
+    """Run the member methods and combine them.
 
-    The members share one compiled problem and are independent solves, so
-    they fan out through the solve scheduler; the combination itself is
-    :func:`ensemble_vote` (or the precision-weighted variant when
+    The members are solved on one shared compiled problem; the combination
+    itself is :func:`ensemble_vote` (or the precision-weighted variant when
     ``validation_precisions`` is given).
     """
     from repro.fusion.base import FusionProblem
@@ -103,11 +100,7 @@ def ensemble_of_methods(
 
     base = problem if problem is not None else FusionProblem(dataset)
     outcomes = solve_methods(
-        base,
-        list(method_names),
-        workers=workers,
-        scheduler=scheduler,
-        method_kwargs=method_kwargs,
+        base, list(method_names), method_kwargs=method_kwargs
     )
     results = [outcome.result for outcome in outcomes]
     if validation_precisions is not None:

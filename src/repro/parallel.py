@@ -26,8 +26,12 @@ more than the solves.  This module is the layer in between:
   indices and the parent session absorbs them, keeping warm-start state
   authoritative in the parent).
 
-Streaming and serving schedule onto it as raw steps: one job per method
-of a day, all on the day's one registered problem.
+One pool per process run: the experiment context
+(:meth:`repro.experiments.context.ExperimentContext.scheduler`) is the only
+place that builds a multi-worker scheduler.  Consumers — :func:`solve_methods`,
+:func:`solve_sweep`, :class:`~repro.streaming.StreamRunner` — take that
+scheduler as an optional argument (``None`` solves inline) and never start
+or stop a pool themselves.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import pickle
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -62,16 +66,9 @@ __all__ = [
     "CallOutcome",
     "JobOutcome",
     "SolveScheduler",
-    "default_workers",
     "solve_methods",
     "solve_sweep",
 ]
-
-
-def default_workers() -> int:
-    """A sensible worker count for this host (``0`` disables the pool)."""
-    cores = os.cpu_count() or 1
-    return cores if cores > 1 else 0
 
 
 # --------------------------------------------------------------------------
@@ -87,7 +84,6 @@ class MethodCall:
     trust_seed: Optional[Dict[str, float]] = None
     freeze_trust: bool = False
     warm_trust: Optional[np.ndarray] = None
-    tag: object = None
 
 
 @dataclass
@@ -113,7 +109,6 @@ class CallOutcome:
     """Outcome of one method call on one (possibly restricted) problem."""
 
     method: str
-    tag: object = None
     result: Optional[FusionResult] = None
     trust: Optional[np.ndarray] = None
     selected: Optional[np.ndarray] = None  # cluster indices (raw jobs)
@@ -301,7 +296,6 @@ def _run_call(
     runtime = time.perf_counter() - started
     outcome = CallOutcome(
         method=spec.name,
-        tag=call.tag,
         trust=state["trust"],
         rounds=rounds,
         converged=converged,
@@ -328,9 +322,7 @@ def _execute_sweep(
     for call in job.calls:
         method = make_method(call.method, **call.kwargs)
         for row, restriction in zip(rows, sweep.solve(method)):
-            outcome = CallOutcome(
-                method=call.method, tag=call.tag, empty=restriction.empty
-            )
+            outcome = CallOutcome(method=call.method, empty=restriction.empty)
             if restriction.empty:
                 outcome.recall = 0.0
                 outcome.precision = 0.0
@@ -525,19 +517,12 @@ class SolveScheduler:
 def _normalize_calls(
     calls: Sequence[Union[str, MethodCall]],
     method_kwargs: Optional[Dict[str, dict]] = None,
-    engine: Optional[str] = None,
 ) -> List[MethodCall]:
-    normalized = []
-    for call in calls:
-        if not isinstance(call, MethodCall):
-            call = MethodCall(call, kwargs=dict((method_kwargs or {}).get(call, {})))
-        if engine is not None and "engine" not in call.kwargs:
-            # Engine selection rides in the call kwargs, so each worker's
-            # make_method() resolves it locally — native programs compile
-            # once per worker process and reuse numba's on-disk cache.
-            call = replace(call, kwargs={**call.kwargs, "engine": engine})
-        normalized.append(call)
-    return normalized
+    return [
+        call if isinstance(call, MethodCall)
+        else MethodCall(call, kwargs=dict((method_kwargs or {}).get(call, {})))
+        for call in calls
+    ]
 
 
 def _uses_copy_detection(calls: Sequence[MethodCall]) -> bool:
@@ -552,29 +537,24 @@ def solve_methods(
     calls: Sequence[Union[str, MethodCall]],
     *,
     gold: Optional[GoldStandard] = None,
-    workers: int = 0,
     scheduler: Optional[SolveScheduler] = None,
     key: Optional[str] = None,
     method_kwargs: Optional[Dict[str, dict]] = None,
-    engine: Optional[str] = None,
 ) -> List[CallOutcome]:
-    """Run several method calls on one compiled problem, optionally parallel."""
-    plan = _normalize_calls(calls, method_kwargs, engine)
-    own: Optional[SolveScheduler] = None
-    sched = scheduler
-    if sched is None:
-        sched = own = SolveScheduler(workers=workers)
-    try:
-        key = sched.register(
-            key, problem, gold=gold, with_copy=_uses_copy_detection(plan)
-        )
-        if not sched.parallel:
-            return sched.run([SolveJob(problem=key, calls=plan)])[0].calls
-        jobs = [SolveJob(problem=key, calls=[call]) for call in plan]
-        return [outcome.calls[0] for outcome in sched.run(jobs)]
-    finally:
-        if own is not None:
-            own.close()
+    """Run several method calls on one compiled problem.
+
+    Outcomes come back in ``calls`` order.  With a parallel ``scheduler``
+    each call is its own job; without one they solve inline.
+    """
+    plan = _normalize_calls(calls, method_kwargs)
+    sched = scheduler if scheduler is not None else SolveScheduler()
+    key = sched.register(
+        key, problem, gold=gold, with_copy=_uses_copy_detection(plan)
+    )
+    if not sched.parallel:
+        return sched.run([SolveJob(problem=key, calls=plan)])[0].calls
+    jobs = [SolveJob(problem=key, calls=[call]) for call in plan]
+    return [outcome.calls[0] for outcome in sched.run(jobs)]
 
 
 def solve_sweep(
@@ -583,49 +563,41 @@ def solve_sweep(
     subsets: Sequence[Sequence[str]],
     *,
     gold: Optional[GoldStandard] = None,
-    workers: int = 0,
     scheduler: Optional[SolveScheduler] = None,
     key: Optional[str] = None,
-    engine: Optional[str] = None,
 ) -> List[List[CallOutcome]]:
     """Solve every (subset, call) pair; returns subset-major outcomes.
 
     Outcomes are raw (trust arrays, rounds) and carry precision and recall
-    when ``gold`` is given.  Subsets are strided across the worker chunks (a prefix sweep's small
-    and large prefixes interleave, balancing the chunks) and each chunk
-    compiles its restrictions once for all of ``calls``.
+    when ``gold`` is given.  With a parallel ``scheduler`` the subsets are
+    strided across the worker chunks (a prefix sweep's small and large
+    prefixes interleave, balancing the chunks); each chunk compiles its
+    restrictions once for all of ``calls``.
     """
-    plan = _normalize_calls(calls, None, engine)
+    plan = _normalize_calls(calls)
     subset_lists = [list(s) for s in subsets]
-    own: Optional[SolveScheduler] = None
-    sched = scheduler
-    if sched is None:
-        sched = own = SolveScheduler(workers=workers)
-    try:
-        key = sched.register(
-            key, problem, gold=gold, with_copy=_uses_copy_detection(plan)
+    sched = scheduler if scheduler is not None else SolveScheduler()
+    key = sched.register(
+        key, problem, gold=gold, with_copy=_uses_copy_detection(plan)
+    )
+    if not sched.parallel or len(subset_lists) < 2:
+        job = SolveJob(problem=key, calls=plan, subsets=subset_lists)
+        return sched.run([job])[0].sweep
+    n_chunks = min(sched.workers, len(subset_lists))
+    chunk_indices = [
+        list(range(k, len(subset_lists), n_chunks)) for k in range(n_chunks)
+    ]
+    jobs = [
+        SolveJob(
+            problem=key,
+            calls=plan,
+            subsets=[subset_lists[i] for i in indices],
         )
-        if not sched.parallel or len(subset_lists) < 2:
-            job = SolveJob(problem=key, calls=plan, subsets=subset_lists)
-            return sched.run([job])[0].sweep
-        n_chunks = min(sched.workers, len(subset_lists))
-        chunk_indices = [
-            list(range(k, len(subset_lists), n_chunks)) for k in range(n_chunks)
-        ]
-        jobs = [
-            SolveJob(
-                problem=key,
-                calls=plan,
-                subsets=[subset_lists[i] for i in indices],
-            )
-            for indices in chunk_indices
-        ]
-        outcomes = sched.run(jobs)
-        rows: List[Optional[List[CallOutcome]]] = [None] * len(subset_lists)
-        for indices, outcome in zip(chunk_indices, outcomes):
-            for local, index in enumerate(indices):
-                rows[index] = outcome.sweep[local]
-        return rows  # type: ignore[return-value]
-    finally:
-        if own is not None:
-            own.close()
+        for indices in chunk_indices
+    ]
+    outcomes = sched.run(jobs)
+    rows: List[Optional[List[CallOutcome]]] = [None] * len(subset_lists)
+    for indices, outcome in zip(chunk_indices, outcomes):
+        for local, index in enumerate(indices):
+            rows[index] = outcome.sweep[local]
+    return rows  # type: ignore[return-value]

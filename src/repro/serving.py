@@ -19,6 +19,8 @@ module is the read path:
 * :class:`TruthService` — glue that owns a :class:`StreamRunner` and a
   store: ``ingest(dataset)`` / ``apply(delta)`` advance the runner's warm
   sessions one day and publish the day's results as the next store version.
+  It solves inline and owns no worker pool: fanning a day's few methods out
+  to workers measured slower than solving them in process.
 
 Stores serialize to JSON (:meth:`TruthStore.save` / :meth:`TruthStore.load`)
 so ``cli serve`` can solve once and ``cli query`` can answer point lookups
@@ -433,7 +435,7 @@ class TruthService:
     """A stream of daily snapshots/deltas kept queryable through a store.
 
     One :class:`~repro.streaming.StreamRunner` (shared delta compiler, warm
-    per-method sessions, optional worker pool) feeds one
+    per-method sessions, solved inline) feeds one
     :class:`TruthStore`: every ingested day becomes the next store version,
     so reads stay consistent while the solve of the following day runs.
     One snapshot is a one-day stream: ``TruthService(methods).ingest(dataset)``
@@ -446,16 +448,12 @@ class TruthService:
         method_kwargs: Optional[Dict[str, dict]] = None,
         *,
         warm_start: bool = True,
-        workers: int = 0,
         store: Optional[TruthStore] = None,
     ):
         from repro.streaming import StreamRunner
 
         self.runner = StreamRunner(
-            method_names,
-            method_kwargs,
-            warm_start=warm_start,
-            workers=workers,
+            method_names, method_kwargs, warm_start=warm_start
         )
         self.store = store if store is not None else TruthStore()
 
@@ -467,11 +465,10 @@ class TruthService:
         """Apply one :class:`~repro.core.delta.ClaimDelta` and publish it."""
         return self.store.publish_step(self.runner.push_delta(delta))
 
-    def close(self) -> None:
-        self.runner.close()
-
+    # The service holds no pool, thread or file, so a ``with`` block has
+    # nothing to release; it stays valid for callers that scope it so.
     def __enter__(self) -> "TruthService":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        return None

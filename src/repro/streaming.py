@@ -15,13 +15,17 @@ day's compilation statistics.  A single snapshot is a one-day stream.
 Every day is one solve per method over all of the day's claims: each
 source's trust and copy evidence come from every item it provides, as in
 the paper's methods, so the stream's answer is the snapshot path's answer.
+
+A runner never owns a worker pool.  Given a parallel
+:class:`~repro.parallel.SolveScheduler` (the experiment context's), it fans
+each day's methods out across it; otherwise the sessions solve inline.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.dataset import Dataset
 from repro.core.delta import (
@@ -34,6 +38,9 @@ from repro.errors import FusionError
 from repro.fusion.base import FusionResult
 from repro.fusion.registry import make_method
 from repro.fusion.spec import FusionSession
+
+if TYPE_CHECKING:
+    from repro.parallel import SolveScheduler
 
 
 @dataclass
@@ -54,13 +61,15 @@ class StreamStep:
 class StreamRunner:
     """Sessions for several methods advancing over one shared compiler.
 
-    With ``workers > 1`` the method solves of each day run concurrently:
-    the parent diff-compiles the day once (days stay sequential — warm
-    starts need day ``d-1`` before day ``d``), exports the day's problem to
-    shared memory under one scheduler key, and ships each worker its
-    session's carried trust.  Workers return raw trust/selection arrays and
-    the owning sessions absorb them, so session state — and every number —
-    is identical to the serial path.
+    Given a parallel ``scheduler`` and at least two methods, the method
+    solves of each day run concurrently: the parent diff-compiles the day
+    once (days stay sequential — warm starts need day ``d-1`` before day
+    ``d``), registers the day's problem under the one ``"stream-day"`` key
+    (so runners sharing a scheduler replace each other's export rather than
+    stack them), and ships each worker its session's carried trust.
+    Workers return raw trust/selection arrays and the owning sessions
+    absorb them, so session state — and every number — is identical to the
+    inline path.  The scheduler's owner closes it; the runner never does.
     """
 
     def __init__(
@@ -69,7 +78,7 @@ class StreamRunner:
         method_kwargs: Optional[Dict[str, dict]] = None,
         *,
         warm_start: bool = True,
-        workers: int = 0,
+        scheduler: Optional[SolveScheduler] = None,
     ):
         self.method_names = list(method_names)
         self.method_kwargs = {
@@ -91,39 +100,8 @@ class StreamRunner:
             for session in self.sessions.values()
         )
         self.compiler = SeriesCompiler(track_copy_structures=self._with_copy)
-        self.workers = workers
-        self._scheduler = None
+        self.scheduler = scheduler
         self.steps: List[StreamStep] = []
-
-    # ---------------------------------------------------------------- plumbing
-    def _solver(self):
-        """The lazily-created per-runner scheduler (None when serial)."""
-        if self.workers <= 1 or len(self.method_names) < 2:
-            return None
-        if self._scheduler is None:
-            from repro.parallel import SolveScheduler
-
-            scheduler = SolveScheduler(workers=self.workers)
-            if not scheduler.parallel:
-                # No usable shared memory on this platform: remember the
-                # decision (workers=1) so we don't re-probe every day.
-                scheduler.close()
-                self.workers = 1
-                return None
-            self._scheduler = scheduler
-        return self._scheduler
-
-    def close(self) -> None:
-        """Release the worker pool and shared segments (if any)."""
-        if self._scheduler is not None:
-            self._scheduler.close()
-            self._scheduler = None
-
-    def __enter__(self) -> "StreamRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ---------------------------------------------------------------- stepping
     def push(self, dataset: Dataset) -> StreamStep:
@@ -142,9 +120,13 @@ class StreamRunner:
             raise FusionError(f"day {day.day!r} holds no active claims")
         problem = day.problem()
         compile_seconds = time.perf_counter() - started
-        scheduler = self._solver()
+        scheduler = self.scheduler
         results: Dict[str, FusionResult] = {}
-        if scheduler is None:
+        if (
+            scheduler is None
+            or not scheduler.parallel
+            or len(self.method_names) < 2
+        ):
             for name in self.method_names:
                 results[name] = self.sessions[name].step(problem, day=day.day)
         else:

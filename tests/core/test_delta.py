@@ -311,9 +311,9 @@ class TestOneDayStream:
 
     def test_exact_service_publishes_the_unsharded_store(self, stock_snapshot):
         methods = list(METHOD_NAMES)
-        with TruthService(methods) as service:
-            service.ingest(stock_snapshot)
-            ours = service.store.snapshot()
+        service = TruthService(methods)
+        service.ingest(stock_snapshot)
+        ours = service.store.snapshot()
         outcomes = solve_methods(FusionProblem(stock_snapshot), methods)
         reference = TruthStore()
         reference.publish(

@@ -164,5 +164,16 @@ class TestRunner:
         with pytest.raises(ConfigError):
             run_experiment("table99", scale="tiny")
 
+    def test_no_workers_override(self):
+        """Parallelism belongs to the context: a per-call override is
+        refused before it can touch the context's workers or pool."""
+        from repro.experiments.context import ExperimentContext
+
+        context = ExperimentContext(scale="tiny")
+        with pytest.raises(TypeError):
+            run_experiment("table6", context=context, workers=2)
+        assert context.workers == 1
+        assert context._scheduler is None
+
     def test_registry_complete(self):
         assert len(EXPERIMENTS) == 18

@@ -1,13 +1,15 @@
 """Determinism and hygiene of the shared-memory solve scheduler.
 
 The hard guarantees of the parallel engine: every registered method
-produces the serial selections and trust under ``workers=4`` — within
-1e-12 on the full problem, bit-identical on a ``restrict_sources`` sweep
-and on streaming days (snapshots and deltas) — and no shared-memory
-segments survive pool shutdown, even after a worker crash.
+produces the serial selections and trust on ``WORKERS`` workers —
+bit-identical on the full problem, on a ``restrict_sources`` sweep and on
+streaming days (snapshots and deltas) — no shared-memory segments
+survive pool shutdown, even after a worker crash, and a paper reproduction
+starts exactly one pool.
 """
 
 import os
+import re
 import signal
 import threading
 import time
@@ -81,15 +83,8 @@ class TestParallelDeterminism:
             assert outcome.result.selected == reference.selected, name
             assert outcome.result.rounds == reference.rounds, name
             assert outcome.result.converged == reference.converged, name
-            for source, trust in reference.trust.items():
-                assert outcome.result.trust[source] == pytest.approx(
-                    trust, abs=1e-12
-                ), (name, source)
-            if reference.attr_trust is not None:
-                for cell, trust in reference.attr_trust.items():
-                    assert outcome.result.attr_trust[cell] == pytest.approx(
-                        trust, abs=1e-12
-                    ), (name, cell)
+            assert outcome.result.trust == reference.trust, name
+            assert outcome.result.attr_trust == reference.attr_trust, name
 
     def test_restricted_jobs_match_serial(self, problem, scheduler, stock):
         order = sources_by_recall(stock.snapshot, stock.gold)
@@ -132,9 +127,11 @@ class TestParallelDeterminism:
             assert parallel[name].recalls == serial, name
 
     @pytest.mark.parametrize("feed", ["snapshots", "deltas"])
-    def test_streaming_day_matches_serial(self, stock, feed):
-        """Every number of a worker-solved stream day is the serial one."""
+    def test_streaming_day_matches_serial(self, stock, scheduler, feed):
+        """Every number of a worker-solved stream day is the serial one,
+        and so is the store version it publishes."""
         from repro.datagen import perturbed_claim_stream
+        from repro.serving import TruthStore
         from repro.streaming import StreamRunner
 
         methods = ["Vote", "AccuSim", "AccuCopy", "AccuSimAttr"]
@@ -150,8 +147,7 @@ class TestParallelDeterminism:
             ]
 
         serial = run(StreamRunner(methods, warm_start=True))
-        with StreamRunner(methods, warm_start=True, workers=WORKERS) as parallel:
-            steps = run(parallel)
+        steps = run(StreamRunner(methods, warm_start=True, scheduler=scheduler))
         assert len(steps) == len(serial)
         for reference, step in zip(serial, steps):
             for name in methods:
@@ -162,12 +158,64 @@ class TestParallelDeterminism:
                 assert b.attr_trust == a.attr_trust, label
                 assert b.rounds == a.rounds, label
                 assert b.extras["warm_started"] == a.extras["warm_started"]
+            stores = [TruthStore(), TruthStore()]
+            stores[0].publish_step(reference)
+            stores[1].publish_step(step)
+            assert stores[0].snapshot() == stores[1].snapshot(), step.day
 
     def test_serial_fallback_is_the_same_code_path(self, problem):
-        outcomes = solve_methods(problem, ["AccuPr"], workers=0)
+        outcomes = solve_methods(problem, ["AccuPr"])
         reference = make_method("AccuPr").run(problem)
         assert outcomes[0].result.selected == reference.selected
         assert outcomes[0].result.trust == reference.trust
+
+
+_HEADER = re.compile(r"^== (\S+) \(scale=\w+, [^)]*\) ==$")
+_FIG12_ROW = re.compile(r"^(\S+)\s+\d+\.\d+\s+(\S+)\s+(\S+)$")
+
+
+def _untimed(report):
+    """An ``experiments all`` report without wall-clock content: the header
+    timings, and Figure 12's runtime column with the row order it sets."""
+    lines, runtime_rows = [], []
+    section = None
+    for line in report.splitlines():
+        header = _HEADER.match(line)
+        if header:
+            section = header.group(1)
+            lines.append(section)
+            continue
+        row = _FIG12_ROW.match(line) if section == "figure12" else None
+        if row:
+            runtime_rows.append(" ".join(row.groups()))
+        else:
+            lines.append(line)
+    return lines, sorted(runtime_rows)
+
+
+class TestOnePool:
+    def test_reproduction_starts_one_pool(self, monkeypatch, capsys):
+        """Every experiment, Table 9's day streams included, solves on the
+        context's one pool, and reports what the serial run reports."""
+        import concurrent.futures
+
+        from repro.experiments.runner import main
+
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        assert main(["all", "--scale", "tiny", "--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert pools == []
+        assert main(["all", "--scale", "tiny", "--workers", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert len(pools) == 1
+        assert _untimed(parallel) == _untimed(serial)
 
 
 class TestViewOnlyExport:

@@ -389,9 +389,13 @@ class TestServeAndQuery:
             ["serve", "days", "--shards", "2"],
             ["serve", "days", "--approximate"],
             ["serve", "days", "--stream"],
+            ["fuse", "claims.csv", "--workers", "2"],
+            ["stream", "days", "--workers", "2"],
+            ["serve", "days", "--workers", "2"],
         ],
         ids=["stream-shards", "stream-approximate", "serve-shards",
-             "serve-approximate", "serve-stream"],
+             "serve-approximate", "serve-stream", "fuse-workers",
+             "stream-workers", "serve-workers"],
     )
     def test_removed_options_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -527,12 +531,12 @@ class TestServeAndQuery:
         err = capsys.readouterr().err
         assert "d04: published version 5" in err
         assert f"saved version 5 to {store}" in err
-        with TruthService(methods) as service:
-            reader = ClaimsDayReader()
-            for path in sorted(days.glob("*.csv")):
-                service.store.publish_step(
-                    reader.push(reader.read(path), service.runner)
-                )
+        service = TruthService(methods)
+        reader = ClaimsDayReader()
+        for path in sorted(days.glob("*.csv")):
+            service.store.publish_step(
+                reader.push(reader.read(path), service.runner)
+            )
         assert TruthStore.load(store).snapshot() == service.store.snapshot()
 
     def test_indented_store_still_loads_and_answers_queries(

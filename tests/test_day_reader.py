@@ -77,16 +77,16 @@ def _reference(days, methods, monotonic=False):
     store = TruthStore(monotonic_days=monotonic)
     seen = []
     store.add_listener(seen.append)
-    with TruthService(list(methods), store=store) as service:
-        for path in sorted(days.glob("*.csv")):
-            try:
-                dataset = read_claims_csv(path)
-            except ValueParseError:
-                continue
-            try:
-                service.ingest(dataset)
-            except StalePublishError:
-                continue
+    service = TruthService(list(methods), store=store)
+    for path in sorted(days.glob("*.csv")):
+        try:
+            dataset = read_claims_csv(path)
+        except ValueParseError:
+            continue
+        try:
+            service.ingest(dataset)
+        except StalePublishError:
+            continue
     return seen
 
 
@@ -137,18 +137,18 @@ def test_stream_dir_matches_snapshot_pushes(stream_days, tmp_path, snapshot_read
         "--output-dir", str(out),
     ]) == 0
     assert len(snapshot_reads) == 1
-    with StreamRunner(list(METHODS)) as runner:
-        for path in sorted(stream_days.glob("*.csv")):
-            step = runner.push(read_claims_csv(path))
-            for name, result in step.results.items():
-                payload = json.loads((out / f"{step.day}.{name}.json").read_text())
-                assert payload["selected"] == [
-                    {"object": item.object_id, "attribute": item.attribute,
-                     "value": repro.io._encode_value(value)}
-                    for item, value in sorted(result.selected.items())
-                ]
-                assert payload["trust"] == result.trust
-                assert payload["rounds"] == result.rounds
+    runner = StreamRunner(list(METHODS))
+    for path in sorted(stream_days.glob("*.csv")):
+        step = runner.push(read_claims_csv(path))
+        for name, result in step.results.items():
+            payload = json.loads((out / f"{step.day}.{name}.json").read_text())
+            assert payload["selected"] == [
+                {"object": item.object_id, "attribute": item.attribute,
+                 "value": repro.io._encode_value(value)}
+                for item, value in sorted(result.selected.items())
+            ]
+            assert payload["trust"] == result.trust
+            assert payload["rounds"] == result.rounds
 
 
 def test_reader_api_snapshot_then_deltas(stream_days):
@@ -156,16 +156,16 @@ def test_reader_api_snapshot_then_deltas(stream_days):
     reader = ClaimsDayReader()
     first = reader.read(paths[0])
     assert first.dataset is not None and first.delta is None
-    with StreamRunner(["Vote"]) as runner:
-        reader.push(first, runner)
-        assert first.dataset is None  # released to the runner
-        second = reader.read(paths[1])
-        assert second.dataset is None
-        delta = second.delta
-        assert delta.day == read_claims_csv(paths[1]).day
-        assert delta.added and delta.retracted
-        # Reading again without pushing diffs against the same base.
-        assert reader.read(paths[1]).delta == delta
+    runner = StreamRunner(["Vote"])
+    reader.push(first, runner)
+    assert first.dataset is None  # released to the runner
+    second = reader.read(paths[1])
+    assert second.dataset is None
+    delta = second.delta
+    assert delta.day == read_claims_csv(paths[1]).day
+    assert delta.added and delta.retracted
+    # Reading again without pushing diffs against the same base.
+    assert reader.read(paths[1]).delta == delta
 
 
 def _without_objects(dataset, objects, day):
@@ -486,18 +486,18 @@ def test_late_arriving_file_diffs_against_the_last_consumed(
         "--max-polls", "2", "--poll-seconds", "0", "--output-dir", str(out),
     ]) == 0
     assert len(snapshot_reads) == 1
-    with StreamRunner(list(CRAFTED)) as runner:
-        for name in ("00.csv", "01.csv", "00a.csv"):
-            step = runner.push(read_claims_csv(days / name))
-            for method, result in step.results.items():
-                payload = json.loads((out / f"{step.day}.{method}.json").read_text())
-                assert payload["trust"] == result.trust
-                assert {entry["object"] + "/" + entry["attribute"]: entry["value"]
-                        for entry in payload["selected"]} == {
-                    f"{item.object_id}/{item.attribute}":
-                        repro.io._encode_value(value)
-                    for item, value in result.selected.items()
-                }
+    runner = StreamRunner(list(CRAFTED))
+    for name in ("00.csv", "01.csv", "00a.csv"):
+        step = runner.push(read_claims_csv(days / name))
+        for method, result in step.results.items():
+            payload = json.loads((out / f"{step.day}.{method}.json").read_text())
+            assert payload["trust"] == result.trust
+            assert {entry["object"] + "/" + entry["attribute"]: entry["value"]
+                    for entry in payload["selected"]} == {
+                f"{item.object_id}/{item.attribute}":
+                    repro.io._encode_value(value)
+                for item, value in result.selected.items()
+            }
 
 
 def test_file_rewritten_after_its_snapshot_read_is_not_diffed(tmp_path):
@@ -506,13 +506,13 @@ def test_file_rewritten_after_its_snapshot_read_is_not_diffed(tmp_path):
         build_dataset(_changed(s3__o1__price=10.0), day="d1"),
     ])
     reader = ClaimsDayReader()
-    with StreamRunner(list(CRAFTED)) as runner:
-        reader.push(reader.read(days / "00.csv"), runner)
-        # The runner holds the old d0; a base built from the new file
-        # would diff d1 against claims the runner never saw.
-        write_claims_csv(
-            build_dataset(_changed(s2__o2__price=50.0, s1__o9__price=1.0), day="d0"),
-            days / "00.csv",
-        )
-        day = reader.read(days / "01.csv")
+    runner = StreamRunner(list(CRAFTED))
+    reader.push(reader.read(days / "00.csv"), runner)
+    # The runner holds the old d0; a base built from the new file
+    # would diff d1 against claims the runner never saw.
+    write_claims_csv(
+        build_dataset(_changed(s2__o2__price=50.0, s1__o9__price=1.0), day="d0"),
+        days / "00.csv",
+    )
+    day = reader.read(days / "01.csv")
     assert day.delta is None and day.dataset is not None

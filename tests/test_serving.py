@@ -198,9 +198,9 @@ class TestServicePublish:
     def test_exact_service_equals_unsharded_publish(self, dataset):
         from repro.fusion.base import FusionProblem
 
-        with TruthService(["Vote"]) as service:
-            service.ingest(dataset)
-            exact = service.store
+        service = TruthService(["Vote"])
+        service.ingest(dataset)
+        exact = service.store
         flat = TruthStore()
         flat.publish(
             dataset.day, {"Vote": make_method("Vote").run(FusionProblem(dataset))}
@@ -208,36 +208,22 @@ class TestServicePublish:
         assert exact.snapshot().truths == flat.snapshot().truths
         assert exact.snapshot().trust == flat.snapshot().trust
 
-    def test_service_on_workers_matches_serial(self, stock_snapshot):
-        from repro.parallel import SolveScheduler
-
-        if not SolveScheduler(workers=2).parallel:
-            pytest.skip("platform has no usable shared memory")
-        methods = ["Vote", "AccuSim", "AccuCopy"]
-        snapshots = []
-        for workers in (0, 2):
-            with TruthService(methods, workers=workers) as service:
-                service.ingest(stock_snapshot)
-                snap = service.store.snapshot()
-                snapshots.append((snap.day, snap.methods, snap.truths, snap.trust))
-        assert snapshots[0] == snapshots[1]
-
     def test_empty_day_fails_and_leaves_the_store_unchanged(self, dataset):
         """A day that retracts every claim raises; nothing is published."""
-        with TruthService(["Vote", "AccuSim"]) as service:
-            service.ingest(dataset)
-            before = service.store.snapshot()
-            everything = tuple(
-                (source_id, item)
-                for item, source_id, _claim in dataset.iter_claims()
-            )
-            with pytest.raises(FusionError):
-                service.apply(ClaimDelta(day="d1", retracted=everything))
-            after = service.store.snapshot()
-            assert service.store.version == 1
-            assert (after.day, after.truths, after.trust) == (
-                before.day, before.truths, before.trust
-            )
+        service = TruthService(["Vote", "AccuSim"])
+        service.ingest(dataset)
+        before = service.store.snapshot()
+        everything = tuple(
+            (source_id, item)
+            for item, source_id, _claim in dataset.iter_claims()
+        )
+        with pytest.raises(FusionError):
+            service.apply(ClaimDelta(day="d1", retracted=everything))
+        after = service.store.snapshot()
+        assert service.store.version == 1
+        assert (after.day, after.truths, after.trust) == (
+            before.day, before.truths, before.trust
+        )
 
 
 class TestRefreshSafety:
@@ -455,42 +441,42 @@ class TestMonotonicPublishes:
 
 class TestTruthService:
     def test_stream_days_become_store_versions(self, dataset):
-        with TruthService(["Vote", "AccuSim"]) as service:
-            assert service.ingest(dataset) == 1
-            store = service.store
-            assert store.day == "d0"
-            before = store.lookup("o1", "price")
-            assert before.value == 10.0
-            # s3 changes its o1 price to agree with nobody; majority holds.
-            version = service.apply(ClaimDelta(
-                day="d1",
-                added=(("s3", DataItem("o1", "price"), Claim(value=99.0)),),
-            ))
-            assert version == 2
-            assert store.day == "d1"
-            assert store.lookup("o1", "price").value == 10.0
-            assert store.lookup("o1", "price").version == 2
-            # A delta that flips the majority flips the served truth.
-            service.apply(ClaimDelta(
-                day="d2",
-                added=(
-                    ("s1", DataItem("o2", "price"), Claim(value=6.0)),
-                ),
-            ))
-            assert store.lookup("o2", "price").value == 6.0
-            assert store.version == 3
+        service = TruthService(["Vote", "AccuSim"])
+        assert service.ingest(dataset) == 1
+        store = service.store
+        assert store.day == "d0"
+        before = store.lookup("o1", "price")
+        assert before.value == 10.0
+        # s3 changes its o1 price to agree with nobody; majority holds.
+        version = service.apply(ClaimDelta(
+            day="d1",
+            added=(("s3", DataItem("o1", "price"), Claim(value=99.0)),),
+        ))
+        assert version == 2
+        assert store.day == "d1"
+        assert store.lookup("o1", "price").value == 10.0
+        assert store.lookup("o1", "price").version == 2
+        # A delta that flips the majority flips the served truth.
+        service.apply(ClaimDelta(
+            day="d2",
+            added=(
+                ("s1", DataItem("o2", "price"), Claim(value=6.0)),
+            ),
+        ))
+        assert store.lookup("o2", "price").value == 6.0
+        assert store.version == 3
 
     def test_service_matches_direct_sessions(self, dataset):
         from repro.fusion.spec import FusionSession
 
-        with TruthService(["AccuSim"]) as service:
-            service.ingest(dataset)
-            session = FusionSession(make_method("AccuSim"), warm_start=True)
-            reference = session.advance(dataset)
-            store = service.store
-            for item, value in reference.selected.items():
-                assert (
-                    store.lookup(item.object_id, item.attribute).value == value
-                )
-            for source, trust in reference.trust.items():
-                assert store.trust(source) == pytest.approx(trust, abs=1e-12)
+        service = TruthService(["AccuSim"])
+        service.ingest(dataset)
+        session = FusionSession(make_method("AccuSim"), warm_start=True)
+        reference = session.advance(dataset)
+        store = service.store
+        for item, value in reference.selected.items():
+            assert (
+                store.lookup(item.object_id, item.attribute).value == value
+            )
+        for source, trust in reference.trust.items():
+            assert store.trust(source) == pytest.approx(trust, abs=1e-12)
