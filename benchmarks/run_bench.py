@@ -243,35 +243,33 @@ def bench_domain(domain: str, scale: str, repeat: int) -> Dict[str, object]:
 
 
 def bench_streaming(domain: str, scale: str, repeat: int) -> Dict[str, object]:
-    """Daily streaming: cold recompile+rerun vs warm delta sessions.
+    """Daily streaming: cold recompile+rerun vs a warm delta stream.
 
     A low-churn stream (``STREAM_CHURN`` of cells touched per day) is
     derived from the collection's first snapshot.  The *cold* path is what
     the seed did for Table 9: recompile the day's ``FusionProblem`` from
     its claim dicts and run every method to convergence from uniform
-    priors.  The *warm* path feeds the explicit deltas to fusion sessions:
-    one shared delta compilation per day plus warm-started solves.  Both
-    run at ``STREAM_TOLERANCE``; per-day selections of a cold-started
-    session stream are also checked against the cold path's
-    (``selections_equal`` — the delta-compilation equivalence).  The warm
-    stream runs ``repeat`` times from scratch: ``warm_per_day_s`` (and the
-    speedup) come from the first pass, ``warm_per_day_best_s`` is the best
-    pass's mean.
+    priors.  The *warm* path feeds the explicit deltas to a
+    :class:`~repro.streaming.StreamRunner`: one shared delta compilation
+    per day plus warm-started solves.  Both run at ``STREAM_TOLERANCE``;
+    per-day selections of a cold-started runner are also checked against
+    the cold path's (``selections_equal`` — the delta-compilation
+    equivalence).  The warm stream runs ``repeat`` times from scratch:
+    ``warm_per_day_s`` (and the speedup) come from the first pass,
+    ``warm_per_day_best_s`` is the best pass's mean.
     """
-    from repro.core.delta import SeriesCompiler
     from repro.datagen import perturbed_claim_stream
-    from repro.fusion.spec import FusionSession
+    from repro.streaming import StreamRunner
 
     collection = get_context(scale).collection(domain)
     base = collection.series.snapshots[0]
     stream = perturbed_claim_stream(
         base, STREAM_DAYS, churn=STREAM_CHURN, seed=17
     )
-
-    def method_for(name):
-        if name == "Vote":
-            return make_method(name)
-        return make_method(name, tolerance=STREAM_TOLERANCE)
+    method_kwargs = {
+        name: {} if name == "Vote" else {"tolerance": STREAM_TOLERANCE}
+        for name in STREAM_METHODS
+    }
 
     # ---- cold: per-day recompile from the claim dicts + cold solves
     cold_times, cold_rounds, cold_selections = [], [], []
@@ -281,35 +279,26 @@ def bench_streaming(domain: str, scale: str, repeat: int) -> Dict[str, object]:
         problem = FusionProblem(snapshot)
         day_sel, rounds = {}, 0
         for name in STREAM_METHODS:
-            result = method_for(name).run(problem)
+            result = make_method(name, **method_kwargs[name]).run(problem)
             day_sel[name] = result.selected
             rounds += result.rounds
         cold_times.append(time.perf_counter() - started)
         cold_rounds.append(rounds)
         cold_selections.append(day_sel)
 
-    # ---- warm: shared delta compilation + warm-started sessions
+    # ---- warm: shared delta compilation + warm-started solves
     def warm_stream():
-        compiler = SeriesCompiler()
-        sessions = {
-            name: FusionSession(method_for(name), warm_start=True)
-            for name in STREAM_METHODS
-        }
+        runner = StreamRunner(STREAM_METHODS, method_kwargs, warm_start=True)
         started = time.perf_counter()
-        day0 = compiler.ingest(stream.base)
-        problem0 = day0.problem()
-        for name in STREAM_METHODS:
-            sessions[name].step(problem0, day=day0.day)
+        runner.push(stream.base)
         first_day_s = time.perf_counter() - started
         times, day_rounds = [], []
         for delta in stream.deltas:
             started = time.perf_counter()
-            day = compiler.apply_delta(delta)
-            problem = day.problem()
-            day_rounds.append(sum(
-                sessions[name].step(problem, day=day.day).rounds
-                for name in STREAM_METHODS
-            ))
+            step = runner.push_delta(delta)
+            day_rounds.append(
+                sum(result.rounds for result in step.results.values())
+            )
             times.append(time.perf_counter() - started)
         return first_day_s, times, day_rounds
 
@@ -319,21 +308,14 @@ def bench_streaming(domain: str, scale: str, repeat: int) -> Dict[str, object]:
         + [float(np.mean(warm_stream()[1])) for _ in range(repeat - 1)]
     )
 
-    # ---- equivalence: cold-started sessions == from-scratch per day
-    exact_compiler = SeriesCompiler()
-    exact = {
-        name: FusionSession(method_for(name), warm_start=False)
-        for name in STREAM_METHODS
-    }
-    exact_compiler.ingest(stream.base)
+    # ---- equivalence: a cold-started runner == from-scratch per day
+    exact = StreamRunner(STREAM_METHODS, method_kwargs, warm_start=False)
+    exact.push(stream.base)
     selections_equal = True
     for delta, day_sel in zip(stream.deltas, cold_selections):
-        day = exact_compiler.apply_delta(delta)
-        problem = day.problem()
-        for name in STREAM_METHODS:
-            result = exact[name].step(problem, day=day.day)
-            if result.selected != day_sel[name]:
-                selections_equal = False
+        results = exact.push_delta(delta).results
+        if any(results[name].selected != day_sel[name] for name in STREAM_METHODS):
+            selections_equal = False
 
     cold_s = float(np.mean(cold_times))
     warm_s = float(np.mean(warm_times))
@@ -451,14 +433,14 @@ def _profiled_solve(name: str, problem: FusionProblem, engine: str = "numpy"):
     Bypasses ``FusionMethod.run`` so a :class:`KernelProfiler` can ride
     along; returns ``(selected, rounds, seconds, kernel_report)``.
     """
-    from repro.fusion.spec import KernelProfiler, MethodSpec, run_fixed_point
+    from repro.fusion.spec import KernelProfiler, run_fixed_point
 
-    spec = MethodSpec.of(make_method(name, engine=engine))
-    state = spec.initial_state(problem, None)
+    method = make_method(name, engine=engine)
+    state = method._initial_state(problem, None)
     profiler = KernelProfiler()
     started = time.perf_counter()
     selected, rounds, _converged = run_fixed_point(
-        spec, problem, state, profiler=profiler
+        method, problem, state, profiler=profiler
     )
     return selected, rounds, time.perf_counter() - started, profiler.report()
 

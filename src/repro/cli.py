@@ -15,9 +15,9 @@ Usage::
 ``export-demo`` writes one of the generated collections to CSV so the
 round-trip can be exercised without private data.  ``stream`` tails a
 directory of daily claim CSVs (one snapshot per file, processed in sorted
-filename order) through warm fusion sessions, emitting each day's
-selections and trust as it lands.  ``serve`` streams a directory of daily
-CSVs through warm sessions into a versioned
+filename order) through one warm-started :class:`~repro.streaming.StreamRunner`,
+emitting each day's selections and trust as it lands.  ``serve`` streams a
+directory of daily CSVs the same way into a versioned
 :class:`~repro.serving.TruthStore` JSON file, one version per day; a
 single claims CSV is served as a one-day directory.  A background
 :class:`~repro.serving.StoreWriter` saves the file, so the next day never
@@ -63,7 +63,7 @@ from repro.io import (
 
 
 def _method_kwargs(args: argparse.Namespace) -> dict:
-    """Solver flags shared by ``fuse`` and ``stream``."""
+    """Solver flags shared by ``fuse``, ``stream`` and ``serve``."""
     kwargs = {}
     if getattr(args, "max_rounds", None) is not None:
         kwargs["max_rounds"] = args.max_rounds
@@ -83,9 +83,12 @@ def _cmd_methods(_args: argparse.Namespace) -> int:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     from repro.parallel import solve_methods
 
+    # Both inputs are read before any method solves, so a bad path or a
+    # malformed file fails at once rather than after the last solve.
     try:
         dataset = read_claims_csv(args.claims)
-    except ValueParseError as error:
+        gold = read_gold_csv(args.gold) if args.gold else None
+    except (OSError, ValueParseError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(
@@ -102,7 +105,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         methods,
         method_kwargs={name: dict(kwargs) for name in methods},
     )
-    gold = read_gold_csv(args.gold) if args.gold else None
     multi = len(methods) > 1
     for name, outcome in zip(methods, outcomes):
         result = outcome.result
@@ -502,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stream = sub.add_parser(
         "stream",
-        help="tail a directory of daily claim CSVs through fusion sessions",
+        help="tail a directory of daily claim CSVs through warm-started fusion",
     )
     stream.add_argument("directory", help="directory of per-day claims CSVs")
     stream.add_argument("--method", action="append", choices=METHOD_NAMES,

@@ -649,35 +649,6 @@ class SeriesCompiler:
         )
 
     # ------------------------------------------------------------ public API
-    @property
-    def n_store_claims(self) -> int:
-        return len(self._s_key)
-
-    @property
-    def store_items(self) -> List[DataItem]:
-        """The interned item table, in first-arrival (code) order (live list)."""
-        return self._items
-
-    @property
-    def store_item_attrs(self) -> List[int]:
-        """Attribute code per interned item (live list, parallel to items)."""
-        return self._item_attr_list
-
-    @property
-    def store_sources(self) -> List[str]:
-        """The interned source-id table, in first-declared order (live list)."""
-        return self._sources
-
-    @property
-    def store_values(self) -> List[Value]:
-        """The interned exact-value table (live list; compaction re-codes it)."""
-        return self._values
-
-    @property
-    def store_value_numeric(self) -> np.ndarray:
-        """``float(value)`` (or NaN) per interned value, parallel to values."""
-        return self._value_numeric
-
     def ingest(self, dataset: Dataset) -> DayCompilation:
         """Diff a full snapshot against the stream and compile its day."""
         started = time.perf_counter()

@@ -18,7 +18,6 @@ from repro.core.gold import GoldStandard
 from repro.evaluation.metrics import evaluate
 from repro.fusion.base import FusionProblem
 from repro.fusion.registry import make_method
-from repro.fusion.spec import FusionSession, MethodSpec
 
 
 @dataclass
@@ -40,22 +39,21 @@ def efficiency_profile(
 ) -> List[EfficiencyPoint]:
     """Time every method on one snapshot (problem construction excluded).
 
-    Methods run as cold fusion sessions (the canonical solver entry since
-    the spec/session split).  Selection-independent caches that are shared
-    across methods — the copy-detection membership/overlap structures —
-    are warmed *outside* the timed region: Figure 12 reports the cost of
-    the solve, not of whichever method happens to take the cache miss.
+    Each method runs one cold :meth:`~repro.fusion.base.FusionMethod.run`.
+    Selection-independent caches that are shared across methods — the
+    copy-detection membership/overlap structures — are warmed *outside* the
+    timed region: Figure 12 reports the cost of the solve, not of whichever
+    method happens to take the cache miss.
     """
     shared = problem if problem is not None else FusionProblem(dataset)
     points: List[EfficiencyPoint] = []
     for name in method_names:
         kwargs = (method_kwargs or {}).get(name, {})
-        spec = MethodSpec.of(make_method(name, **kwargs))
-        if spec.uses_copy_detection:
+        method = make_method(name, **kwargs)
+        if method.uses_copy_detection:
             shared.copy_structures  # noqa: B018 - warm the shared cache
-        session = FusionSession(spec, warm_start=False)
         started = time.perf_counter()
-        result = session.step(shared)
+        result = method.run(shared)
         elapsed = time.perf_counter() - started
         score = evaluate(dataset, gold, result)
         points.append(

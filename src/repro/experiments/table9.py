@@ -57,8 +57,8 @@ def run(
     """Run every method on (a stride of) the daily snapshots.
 
     ``max_days`` bounds the number of fused days (evenly strided across the
-    period); pass ``None`` for the full month.  Days stream through fusion
-    sessions (shared delta compilation, the same numbers as a fresh
+    period); pass ``None`` for the full month.  Days stream through a
+    :class:`~repro.streaming.StreamRunner` (shared delta compilation, the same numbers as a fresh
     per-day compile); ``warm_start=True`` additionally carries trust
     across days.
     """

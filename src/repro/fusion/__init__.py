@@ -26,7 +26,6 @@ from repro.fusion.ensemble import (
 )
 from repro.fusion.extensions import AccuCategory, select_plausible_values
 from repro.fusion.seeding import consistent_item_seed, seed_coverage
-from repro.fusion.spec import FusionSession, MethodSpec
 from repro.fusion.ir import Cosine, ThreeEstimates, TwoEstimates
 from repro.fusion.registry import (
     ITERATIVE_METHOD_NAMES,
@@ -53,8 +52,6 @@ __all__ = [
     "FusionMethod",
     "FusionProblem",
     "FusionResult",
-    "FusionSession",
-    "MethodSpec",
     "AccuFormat",
     "AccuFormatAttr",
     "AccuPr",

@@ -13,16 +13,21 @@ tolerance buckets of Section 3.2 (*clusters*), claims are (source, cluster)
 pairs, and optional evidence — value similarity edges and formatting
 subsumption edges — is precomputed as sparse pair lists.
 
-:class:`FusionMethod` implements the shared iteration skeleton, convergence
-detection, trust seeding (the "given sampled trustworthiness" mode of
-Table 7), and result packaging.  Concrete methods override
-:meth:`FusionMethod._votes` and :meth:`FusionMethod._update_trust`.
+:class:`FusionMethod` holds a method's parameters, trust seeding (the
+"given sampled trustworthiness" mode of Table 7) and result packaging;
+concrete methods override :meth:`FusionMethod._votes` and
+:meth:`FusionMethod._update_trust`.  :meth:`FusionMethod.run` is the one
+cold solve: the initial state, the shared fixed point
+(:func:`repro.fusion.spec.run_fixed_point`), then the packaged result.
+Streams warm-start the same loop from carried trust
+(:class:`repro.streaming.StreamRunner`).
 """
 
 from __future__ import annotations
 
 import abc
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -408,7 +413,7 @@ class FusionProblem:
         through named scratch buffers removes the per-round allocations.
         Buffers hold arbitrary garbage between uses and are **not**
         thread-safe — one solve per problem at a time, which is what every
-        caller (sessions, workers, the restriction sweep) already guarantees.
+        caller (streams, workers, the restriction sweep) already guarantees.
         """
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         bufs = self.__dict__.setdefault("_scratch_bufs", {})
@@ -596,7 +601,11 @@ class FusionResult:
 
 
 class FusionMethod(abc.ABC):
-    """Base class implementing the shared fixed-point iteration."""
+    """A fusion method: its parameters and its vote/trust kernels.
+
+    Methods are stateless across solves; every per-solve quantity lives in
+    the state dict that :func:`repro.fusion.spec.run_fixed_point` drives.
+    """
 
     #: Registry name, e.g. ``"AccuSim"``.
     name: str = "base"
@@ -604,7 +613,7 @@ class FusionMethod(abc.ABC):
     initial_trust: float = 0.8
     #: Whether trust is maintained per (source, attribute) pair.
     per_attribute_trust: bool = False
-    #: Whether the method runs copy detection (sessions then ask the
+    #: Whether the method runs copy detection (a stream then asks its
     #: series compiler to maintain the pairwise overlap counts).
     uses_copy_detection: bool = False
 
@@ -637,14 +646,17 @@ class FusionMethod(abc.ABC):
             Do not update trust: compute votes once from the seed and select
             (the paper's "no need for iteration" mode).
         """
-        # The solver loop lives in FusionSession (fusion/spec.py); a one-shot
-        # run is a cold session stepped once onto the compiled snapshot.
-        from repro.fusion.spec import FusionSession
+        from repro.fusion.spec import run_fixed_point
 
         problem = data if isinstance(data, FusionProblem) else FusionProblem(data)
-        session = FusionSession(self, warm_start=False)
-        return session.step(
-            problem, trust_seed=trust_seed, freeze_trust=freeze_trust
+        started = time.perf_counter()
+        state = self._initial_state(problem, trust_seed)
+        selected, rounds, converged = run_fixed_point(
+            self, problem, state, freeze_trust
+        )
+        return self._package(
+            problem, state, selected, rounds, converged,
+            time.perf_counter() - started,
         )
 
     # ------------------------------------------------------------ state mgmt

@@ -15,14 +15,14 @@ selections against the gold standard without packaging per-item dicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.gold import GoldScorer  # noqa: F401  (re-exported)
 from repro.errors import FusionError
 from repro.fusion.base import FusionMethod, FusionProblem
-from repro.fusion.spec import MethodSpec
+from repro.fusion.spec import run_fixed_point
 
 
 @dataclass
@@ -81,14 +81,11 @@ class RestrictionSweep:
                 sub = None
             self.subs.append(sub)
 
-    def solve(
-        self, method: Union[FusionMethod, MethodSpec]
-    ) -> List[RestrictionOutcome]:
+    def solve(self, method: FusionMethod) -> List[RestrictionOutcome]:
         """Solve ``method`` on every restriction, one cold fixed point each."""
-        spec = MethodSpec.of(method)
         return [
             _empty_outcome(self.base, subset) if sub is None
-            else _solo_outcome(sub, spec)
+            else _solo_outcome(sub, method)
             for subset, sub in zip(self.subsets, self.subs)
         ]
 
@@ -161,12 +158,10 @@ def _empty_outcome(base: FusionProblem, subset: Sequence[str]) -> RestrictionOut
     )
 
 
-def _solo_outcome(sub: FusionProblem, spec: MethodSpec) -> RestrictionOutcome:
+def _solo_outcome(sub: FusionProblem, method: FusionMethod) -> RestrictionOutcome:
     """Solve one restriction from a cold start."""
-    from repro.fusion.spec import run_fixed_point
-
-    state = spec.initial_state(sub, None)
-    selected, rounds, converged = run_fixed_point(spec, sub, state)
+    state = method._initial_state(sub, None)
+    selected, rounds, converged = run_fixed_point(method, sub, state)
     return RestrictionOutcome(
         sources=list(sub.sources),
         matcher=sub,

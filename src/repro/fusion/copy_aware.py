@@ -64,7 +64,7 @@ class AccuCopy(AccuFormat):
     def _initial_state(self, problem: FusionProblem, trust_seed):
         state = super()._initial_state(problem, trust_seed)
         # The round counter lives in the state dict (not on the method) so
-        # the instance stays a stateless spec shareable across sessions.
+        # the instance stays stateless and shareable across solves.
         state["round"] = 0
         if self.known_groups is not None:
             dependence = known_groups_matrix(problem, self.known_groups)

@@ -901,28 +901,27 @@ def native_method_names() -> Tuple[str, ...]:
 EXACT_METHODS = ("Vote", "Hub", "AvgLog", "2-Estimates", "3-Estimates")
 
 
-def supports(spec) -> bool:
-    """Whether ``spec`` has a native program this process can execute."""
+def supports(method) -> bool:
+    """Whether ``method`` has a native program this process can execute."""
     if not available():
         return False
-    method = getattr(spec, "method", None)
-    entry = _builders().get(spec.name)
-    return entry is not None and method is not None and type(method) is entry[0]
+    entry = _builders().get(method.name)
+    return entry is not None and type(method) is entry[0]
 
 
-def solve(spec, problem, state, profiler=None):
-    """Run ``spec``'s fixed point natively; ``None`` if unsupported.
+def solve(method, problem, state, profiler=None):
+    """Run ``method``'s fixed point natively; ``None`` if unsupported.
 
     Mirrors :func:`repro.fusion.spec.run_fixed_point`: mutates ``state`` in
     place and returns ``(selected, rounds, converged)``.  Callers fall
     through to the numpy loop on ``None`` — unsupported methods, subclassed
     methods with custom trust layouts, or numba being absent (unless forced).
     """
-    if not supports(spec):
+    if not supports(method):
         return None
-    entry = _builders()[spec.name]
+    entry = _builders()[method.name]
     build_started = time.perf_counter()
-    step = entry[1](spec.method, problem, state)
+    step = entry[1](method, problem, state)
     trust0 = state["trust"]
     flat = int(trust0.size)
     cur = problem.scratch("nat_trust_a", flat)
@@ -933,16 +932,16 @@ def solve(spec, problem, state, profiler=None):
         profiler.add("native_build", time.perf_counter() - build_started)
     rounds = 0
     converged = False
-    for rounds in range(1, spec.max_rounds + 1):
+    for rounds in range(1, method.max_rounds + 1):
         started = time.perf_counter() if profiler is not None else 0.0
         delta = step(cur, nxt, selected)
         if profiler is not None:
             profiler.add("native_round", time.perf_counter() - started)
         cur, nxt = nxt, cur
-        if delta < spec.tolerance:
+        if delta < method.tolerance:
             converged = True
             break
-    # Sessions carry trust across days and problems outlive solves, so the
+    # Streams carry trust across days and problems outlive solves, so the
     # final trust must not alias the scratch pool.
     state["trust"] = cur.copy().reshape(trust0.shape)
     return selected, rounds, converged

@@ -1,94 +1,29 @@
-"""Spec + session split: stateless method specs, stateful fusion sessions.
+"""The fixed point every fusion method solves.
 
-Historically each fusion method carried its own copy of the fixed-point
-loop inside :meth:`FusionMethod.run`, and every day of the observation
-period cold-started it from uniform priors.  This module separates the two
-concerns:
+Section 4 casts all sixteen methods as one iteration that alternates value
+votes and source trust.  :func:`run_fixed_point` is that loop, driven by a
+:class:`~repro.fusion.base.FusionMethod`'s own vote and trust kernels;
+every solve goes through it:
 
-* :class:`MethodSpec` — the *stateless* description of a method: its
-  parameters (round cap, convergence tolerance, initial trust, whether
-  trust is per attribute) and its vote / trust-update / state-construction
-  kernels.  Specs are frozen; two sessions built from one spec never share
-  mutable state.
-* :class:`FusionSession` — the *stateful* solver.  It owns the trust
-  vectors, convergence bookkeeping, and the current compiled problem, and
-  advances across daily snapshots: :meth:`FusionSession.advance` diff-compiles
-  the next day through a :class:`~repro.core.delta.SeriesCompiler` and —
-  when ``warm_start`` is on — resumes the fixed point from the previous
-  day's converged trust instead of the method's uniform prior, which is
-  what makes per-day streaming cost a handful of rounds instead of dozens.
-  :meth:`FusionSession.update` applies an explicit
-  :class:`~repro.core.delta.ClaimDelta` (claim additions/retractions, new
-  sources) for feeds that know their own diffs.
-
-The legacy one-shot path is preserved exactly: ``FusionMethod.run`` now
-compiles the full snapshot and steps a cold (``warm_start=False``) session
-once, which executes the identical round sequence the old loop did.
+* :meth:`FusionMethod.run` — the one cold solve: the method's initial
+  state, this loop, then the packaged :class:`FusionResult`;
+* :class:`~repro.streaming.StreamRunner` — a day of a stream, warm-started
+  from the trust it carried over from the previous day;
+* the restriction sweep (:mod:`repro.fusion.batch`) and the scheduler's
+  workers (:mod:`repro.parallel`), which keep the outcome in array form.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.dataset import Dataset
-from repro.core.delta import ClaimDelta, DayCompilation, SeriesCompiler
 from repro.errors import FusionError
-from repro.fusion.base import FusionMethod, FusionProblem, FusionResult
+from repro.fusion.base import FusionMethod, FusionProblem
 
 State = Dict[str, np.ndarray]
-
-
-@dataclass(frozen=True)
-class MethodSpec:
-    """A fusion method's parameters and kernels, with no solver state."""
-
-    name: str
-    initial_trust: float
-    per_attribute_trust: bool
-    max_rounds: int
-    tolerance: float
-    initial_state: Callable[[FusionProblem, Optional[Dict[str, float]]], State]
-    votes: Callable[[FusionProblem, State], np.ndarray]
-    update_trust: Callable[[FusionProblem, State, np.ndarray, np.ndarray], np.ndarray]
-    package: Callable[..., FusionResult]
-    uses_copy_detection: bool = False
-    #: Which execution engine drives the fixed point: ``"numpy"`` runs the
-    #: vote/trust kernels above; ``"native"`` dispatches to the fused
-    #: numba programs in :mod:`repro.fusion.native` (falling back to the
-    #: kernels above per method when no native program exists).
-    engine: str = "numpy"
-    #: The originating method instance — the native engine reads its
-    #: parameters (growth, damping, n_false_values, ...) and guards on its
-    #: exact class so subclassed methods keep their custom kernels.
-    method: Optional[FusionMethod] = None
-
-    @classmethod
-    def of(cls, method: Union["MethodSpec", FusionMethod]) -> "MethodSpec":
-        """Derive a spec from a method instance (or pass a spec through).
-
-        The method instance supplies the kernels; it must be stateless —
-        all per-run state lives in the session's state dict.
-        """
-        if isinstance(method, MethodSpec):
-            return method
-        return cls(
-            name=method.name,
-            initial_trust=method.initial_trust,
-            per_attribute_trust=method.per_attribute_trust,
-            max_rounds=method.max_rounds,
-            tolerance=method.tolerance,
-            initial_state=method._initial_state,
-            votes=method._votes,
-            update_trust=method._update_trust,
-            package=method._package,
-            uses_copy_detection=getattr(method, "uses_copy_detection", False),
-            engine=getattr(method, "engine", "numpy"),
-            method=method,
-        )
 
 
 class KernelProfiler:
@@ -118,28 +53,27 @@ class KernelProfiler:
 
 
 def run_fixed_point(
-    spec: MethodSpec,
+    method: FusionMethod,
     problem: FusionProblem,
     state: State,
     freeze_trust: bool = False,
     profiler: Optional[KernelProfiler] = None,
 ) -> Tuple[np.ndarray, int, bool]:
-    """Drive ``spec``'s vote/trust kernels to a fixed point on ``problem``.
+    """Drive ``method``'s vote/trust kernels to a fixed point on ``problem``.
 
-    The solver loop shared by :meth:`FusionSession.step` and the parallel
-    workers (:mod:`repro.parallel`): mutates ``state`` in place and returns
-    ``(selected, rounds, converged)``.  Callers that warm-start overwrite
-    ``state["trust"]`` before calling.
+    Mutates ``state`` in place and returns ``(selected, rounds,
+    converged)``.  Callers that warm-start overwrite ``state["trust"]``
+    before calling.
 
-    With ``spec.engine == "native"`` the round dispatches to the fused
+    With ``method.engine == "native"`` the round dispatches to the fused
     numba program of :mod:`repro.fusion.native` when the method has one;
     methods without a native program (and the freeze-trust mode, which is a
     single vote pass) fall through to the numpy loop below.
     """
-    if spec.engine == "native" and not freeze_trust:
+    if method.engine == "native" and not freeze_trust:
         from repro.fusion import native
 
-        outcome = native.solve(spec, problem, state, profiler=profiler)
+        outcome = native.solve(method, problem, state, profiler=profiler)
         if outcome is not None:
             return outcome
     rounds = 0
@@ -147,8 +81,8 @@ def run_fixed_point(
     selected = None
     profiled = profiler is not None
     t0 = time.perf_counter() if profiled else 0.0
-    for rounds in range(1, spec.max_rounds + 1):
-        scores = spec.votes(problem, state)
+    for rounds in range(1, method.max_rounds + 1):
+        scores = method._votes(problem, state)
         if profiled:
             t1 = time.perf_counter()
             profiler.add("votes", t1 - t0)
@@ -162,7 +96,7 @@ def run_fixed_point(
             converged = True
             break
         trust = state["trust"]
-        new_trust = spec.update_trust(problem, state, scores, selected)
+        new_trust = method._update_trust(problem, state, scores, selected)
         if profiled:
             t1 = time.perf_counter()
             profiler.add("trust_update", t1 - t0)
@@ -181,167 +115,9 @@ def run_fixed_point(
             t1 = time.perf_counter()
             profiler.add("convergence", t1 - t0)
             t0 = t1
-        if delta < spec.tolerance:
+        if delta < method.tolerance:
             converged = True
             break
     if selected is None:  # pragma: no cover - max_rounds >= 1 always
         raise FusionError("fusion produced no selection")
     return selected, rounds, converged
-
-
-class FusionSession:
-    """A stateful solver that carries trust across daily snapshots.
-
-    Parameters
-    ----------
-    method:
-        A :class:`FusionMethod` instance or :class:`MethodSpec`.
-    warm_start:
-        Seed each day's fixed point from the previous day's converged
-        trust.  With ``False`` every step is a cold start — bit-identical
-        to the one-shot ``run()`` on the same problem — and only the delta
-        compilation is reused.
-    compiler:
-        An optional shared :class:`SeriesCompiler`; one is created lazily
-        when :meth:`advance` / :meth:`update` is first called.
-    """
-
-    def __init__(
-        self,
-        method: Union[MethodSpec, FusionMethod],
-        *,
-        warm_start: bool = True,
-        compiler: Optional[SeriesCompiler] = None,
-    ):
-        self.spec = MethodSpec.of(method)
-        self.warm_start = warm_start
-        self._compiler = compiler
-        self._state: Optional[State] = None
-        self._sources: Optional[List[str]] = None
-        self.problem: Optional[FusionProblem] = None
-        self.days: List[str] = []
-        self.last_result: Optional[FusionResult] = None
-
-    # ------------------------------------------------------------- plumbing
-    @property
-    def compiler(self) -> SeriesCompiler:
-        if self._compiler is None:
-            self._compiler = SeriesCompiler(
-                track_copy_structures=self.spec.uses_copy_detection
-            )
-        return self._compiler
-
-    @property
-    def steps(self) -> int:
-        return len(self.days)
-
-    def _rebased_trust(
-        self, problem: FusionProblem, fresh: np.ndarray
-    ) -> np.ndarray:
-        """Map the previous day's trust onto the new source universe.
-
-        ``fresh`` is the spec's initial trust for the new problem — it fixes
-        the target shape (sources on axis 0, any per-attribute/-category
-        axes after), so methods with non-standard trust shapes rebase too;
-        sources whose carried rows no longer fit keep their fresh priors.
-        """
-        prev = self._state["trust"]
-        trust = np.array(fresh, dtype=np.float64, copy=True)
-        for i, source_id in enumerate(self._sources):
-            j = problem.source_index.get(source_id)
-            if j is not None and prev[i].shape == trust[j].shape:
-                trust[j] = prev[i]
-        return trust
-
-    def resume_trust(self, problem: FusionProblem) -> Optional[np.ndarray]:
-        """The warm trust this session would carry onto ``problem``.
-
-        ``None`` when the next step is a cold start (first step, or
-        ``warm_start=False``).  Used by the parallel scheduler to ship a
-        session's carried trust to a worker without shipping the session.
-        """
-        if not (self.warm_start and self._state is not None):
-            return None
-        fresh = self.spec.initial_state(problem, None)["trust"]
-        return self._rebased_trust(problem, fresh)
-
-    # ------------------------------------------------------------- stepping
-    def step(
-        self,
-        problem: FusionProblem,
-        day: Optional[str] = None,
-        trust_seed: Optional[Dict[str, float]] = None,
-        freeze_trust: bool = False,
-    ) -> FusionResult:
-        """Advance the session onto an already-compiled problem."""
-        spec = self.spec
-        started = time.perf_counter()
-        state = spec.initial_state(problem, trust_seed)
-        warmed = self.warm_start and self._state is not None
-        if warmed:
-            # Trust resumes from yesterday's fixed point; every other state
-            # entry (difficulty, independence, ...) is problem-shaped and
-            # starts fresh from the spec's initial state.
-            state["trust"] = self._rebased_trust(problem, state["trust"])
-            if (
-                self.problem is not None
-                and problem is not self.problem
-                and self._sources == problem.sources
-            ):
-                # Same source universe: yesterday's solver buffers (the
-                # trust-shaped conv_delta in particular) fit today's solve
-                # exactly — inherit them instead of reallocating the pool.
-                problem.adopt_scratch(self.problem)
-
-        selected, rounds, converged = run_fixed_point(
-            spec, problem, state, freeze_trust
-        )
-        runtime = time.perf_counter() - started
-        return self.absorb_step(
-            problem, state, selected, rounds, converged, runtime,
-            day=day, warmed=warmed,
-        )
-
-    def absorb_step(
-        self,
-        problem: FusionProblem,
-        state: State,
-        selected: np.ndarray,
-        rounds: int,
-        converged: bool,
-        runtime: float,
-        day: Optional[str] = None,
-        warmed: bool = False,
-    ) -> FusionResult:
-        """Adopt the outcome of a solver step (local or remote) as session state.
-
-        This is the bookkeeping tail of :meth:`step`, split out so a
-        parallel worker can run :func:`run_fixed_point` elsewhere and the
-        owning session still advances exactly as if it had solved locally.
-        """
-        spec = self.spec
-        result = spec.package(problem, state, selected, rounds, converged, runtime)
-        if day is not None:
-            result.extras["day"] = day
-        result.extras["warm_started"] = warmed
-        self._state = state
-        self._sources = list(problem.sources)
-        self.problem = problem
-        if day is not None:
-            self.days.append(day)
-        self.last_result = result
-        return result
-
-    def advance(self, dataset: Dataset) -> FusionResult:
-        """Diff-compile the next daily snapshot and advance onto it."""
-        return self.step_compiled(self.compiler.ingest(dataset))
-
-    def update(self, delta: ClaimDelta) -> FusionResult:
-        """Apply an explicit claim delta and advance onto the result."""
-        return self.step_compiled(self.compiler.apply_delta(delta))
-
-    def step_compiled(self, day: DayCompilation) -> FusionResult:
-        """Advance onto a day prepared by a (possibly shared) compiler."""
-        result = self.step(day.problem(), day=day.day)
-        result.extras["compile"] = day.stats
-        return result

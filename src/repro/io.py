@@ -540,14 +540,19 @@ def read_gold_csv(path: PathLike) -> GoldStandard:
     """Load a gold standard written by :func:`write_gold_csv`."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, [])
         if len(header) < 2 or header[0] != "domain":
             raise ValueParseError(f"{path}: not a gold CSV (bad header)")
         domain = header[1]
-        next(reader)  # column header
-        values = {
-            DataItem(row[0], row[1]): _decode_value(row[2])
-            for row in reader
-            if row
-        }
+        next(reader, None)  # column header
+        values = {}
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < 3:
+                raise ValueParseError(
+                    f"{path}, line {reader.line_num}: gold row has "
+                    f"{len(row)} fields, expected 3"
+                )
+            values[DataItem(row[0], row[1])] = _decode_value(row[2])
     return GoldStandard(domain=domain, values=values)

@@ -12,19 +12,21 @@ more than the solves.  This module is the layer in between:
   ``multiprocessing.shared_memory`` (:mod:`repro.core.shm`) with the object
   tables (items, sources, values, attribute specs, gold) in a pickle
   sidecar loaded once per worker, and fans the jobs out to a persistent
-  ``ProcessPoolExecutor``.  Workers rehydrate zero-copy problem views,
-  run :func:`~repro.fusion.spec.run_fixed_point` (or the restriction
-  sweep of :mod:`repro.fusion.batch`), and results are gathered in
-  deterministic plan order.  With ``workers <= 1`` — or on platforms
-  without POSIX shared memory — the same job-execution code runs inline,
-  so serial and parallel schedules are bit-identical by construction.
+  ``ProcessPoolExecutor``.  Workers rehydrate zero-copy problem views and
+  solve on them through the one solver path — :meth:`FusionMethod.run`,
+  :func:`~repro.fusion.spec.run_fixed_point` or the restriction sweep of
+  :mod:`repro.fusion.batch` — and results are gathered in deterministic
+  plan order.  With ``workers <= 1`` — or on platforms without POSIX
+  shared memory — the same job-execution code runs inline, so serial and
+  parallel schedules are bit-identical by construction.
 * Job shapes cover the big consumers: plain method runs (method
-  comparisons, ensembles), *sweeps* (Figure 9 / greedy selection; each
-  worker chunk compiles its restrictions once, solves every method on them
-  and scores the raw selections against the registered gold standard), and
-  *raw* session steps (streaming: the worker returns trust + selected
-  indices and the parent session absorbs them, keeping warm-start state
-  authoritative in the parent).
+  comparisons, ensembles: a cold ``run`` each), *sweeps* (Figure 9 /
+  greedy selection; each worker chunk compiles its restrictions once,
+  solves every method on them and scores the raw selections against the
+  registered gold standard), and *raw* stream-day solves (the worker starts
+  from the trust the :class:`~repro.streaming.StreamRunner` shipped and
+  returns trust + selected indices, which the runner absorbs, keeping
+  warm-start state authoritative in the parent).
 
 One pool per process run: the experiment context
 (:meth:`repro.experiments.context.ExperimentContext.scheduler`) is the only
@@ -58,7 +60,7 @@ from repro.errors import FusionError
 from repro.fusion.base import FusionProblem, FusionResult
 from repro.fusion.batch import GoldScorer, RestrictionSweep
 from repro.fusion.registry import make_method
-from repro.fusion.spec import MethodSpec, run_fixed_point
+from repro.fusion.spec import run_fixed_point
 
 __all__ = [
     "MethodCall",
@@ -83,6 +85,8 @@ class MethodCall:
     kwargs: Dict[str, object] = field(default_factory=dict)
     trust_seed: Optional[Dict[str, float]] = None
     freeze_trust: bool = False
+    #: A raw call's start trust (a warm stream day); packaged calls are
+    #: cold :meth:`~repro.fusion.base.FusionMethod.run` solves.
     warm_trust: Optional[np.ndarray] = None
 
 
@@ -284,30 +288,30 @@ def _run_call(
     problem: FusionProblem, call: MethodCall, raw: bool
 ) -> CallOutcome:
     method = make_method(call.method, **call.kwargs)
-    spec = MethodSpec.of(method)
+    if not raw:
+        result = method.run(problem, call.trust_seed, call.freeze_trust)
+        return CallOutcome(
+            method=method.name,
+            result=result,
+            rounds=result.rounds,
+            converged=result.converged,
+            runtime_seconds=result.runtime_seconds,
+        )
     started = time.perf_counter()
-    state = spec.initial_state(problem, call.trust_seed)
-    warmed = call.warm_trust is not None
-    if warmed:
+    state = method._initial_state(problem, call.trust_seed)
+    if call.warm_trust is not None:
         state["trust"] = np.array(call.warm_trust, dtype=np.float64, copy=True)
     selected, rounds, converged = run_fixed_point(
-        spec, problem, state, call.freeze_trust
+        method, problem, state, call.freeze_trust
     )
-    runtime = time.perf_counter() - started
-    outcome = CallOutcome(
-        method=spec.name,
+    return CallOutcome(
+        method=method.name,
         trust=state["trust"],
+        selected=selected,
         rounds=rounds,
         converged=converged,
-        runtime_seconds=runtime,
+        runtime_seconds=time.perf_counter() - started,
     )
-    if raw:
-        outcome.selected = selected
-    else:
-        result = spec.package(problem, state, selected, rounds, converged, runtime)
-        result.extras["warm_started"] = warmed
-        outcome.result = result
-    return outcome
 
 
 def _execute_sweep(

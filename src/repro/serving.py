@@ -18,7 +18,7 @@ module is the read path:
   series compiler and republished here).
 * :class:`TruthService` — glue that owns a :class:`StreamRunner` and a
   store: ``ingest(dataset)`` / ``apply(delta)`` advance the runner's warm
-  sessions one day and publish the day's results as the next store version.
+  methods one day and publish the day's results as the next store version.
   It solves inline and owns no worker pool: fanning a day's few methods out
   to workers measured slower than solving them in process.
 
@@ -435,7 +435,7 @@ class TruthService:
     """A stream of daily snapshots/deltas kept queryable through a store.
 
     One :class:`~repro.streaming.StreamRunner` (shared delta compiler, warm
-    per-method sessions, solved inline) feeds one
+    per-method trust, solved inline) feeds one
     :class:`TruthStore`: every ingested day becomes the next store version,
     so reads stay consistent while the solve of the following day runs.
     One snapshot is a one-day stream: ``TruthService(methods).ingest(dataset)``

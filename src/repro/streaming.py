@@ -1,11 +1,13 @@
 """Multi-method streaming over daily snapshots or claim deltas.
 
 One :class:`StreamRunner` owns a single :class:`~repro.core.delta.SeriesCompiler`
-and one :class:`~repro.fusion.spec.FusionSession` per method, so each day is
-diff-compiled **once** and every method solves on the shared problem — the
-streaming analogue of the one-`FusionProblem`-many-methods pattern the
-experiment tables use.  Copy-structure tracking is switched on automatically
-when any requested method runs copy detection.
+and everything a stream carries from one day to the next: each method's
+converged trust, and the problem (and source list) it was solved on.  Each
+day is diff-compiled **once** and every method solves on the shared
+problem through the same :func:`~repro.fusion.spec.run_fixed_point` a
+one-shot :meth:`~repro.fusion.base.FusionMethod.run` drives, warm-started
+from the carried trust.  Copy-structure tracking is switched on
+automatically when any requested method runs copy detection.
 
 Feed it full snapshots (:meth:`StreamRunner.push`) or explicit
 :class:`~repro.core.delta.ClaimDelta` change sets (:meth:`StreamRunner.push_delta`);
@@ -18,14 +20,16 @@ the paper's methods, so the stream's answer is the snapshot path's answer.
 
 A runner never owns a worker pool.  Given a parallel
 :class:`~repro.parallel.SolveScheduler` (the experiment context's), it fans
-each day's methods out across it; otherwise the sessions solve inline.
+each day's methods out across it; otherwise they solve inline.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.delta import (
@@ -35,12 +39,16 @@ from repro.core.delta import (
     SeriesCompiler,
 )
 from repro.errors import FusionError
-from repro.fusion.base import FusionResult
+from repro.fusion.base import FusionMethod, FusionProblem, FusionResult
 from repro.fusion.registry import make_method
-from repro.fusion.spec import FusionSession
+from repro.fusion.spec import State, run_fixed_point
 
 if TYPE_CHECKING:
     from repro.parallel import SolveScheduler
+
+#: One method's solve of a day, in :meth:`FusionMethod._package` argument
+#: order: final state, selection, round count, convergence flag, seconds.
+_Solve = Tuple[State, np.ndarray, int, bool, float]
 
 
 @dataclass
@@ -59,17 +67,22 @@ class StreamStep:
 
 
 class StreamRunner:
-    """Sessions for several methods advancing over one shared compiler.
+    """Several methods advancing day by day over one shared compiler.
+
+    With ``warm_start`` each day's fixed point resumes from the trust the
+    method converged to the day before (rebased onto the day's sources);
+    without it every day is a cold start, bit-identical to
+    ``make_method(name).run`` on the day's problem.
 
     Given a parallel ``scheduler`` and at least two methods, the method
     solves of each day run concurrently: the parent diff-compiles the day
     once (days stay sequential — warm starts need day ``d-1`` before day
     ``d``), registers the day's problem under the one ``"stream-day"`` key
     (so runners sharing a scheduler replace each other's export rather than
-    stack them), and ships each worker its session's carried trust.
-    Workers return raw trust/selection arrays and the owning sessions
-    absorb them, so session state — and every number — is identical to the
-    inline path.  The scheduler's owner closes it; the runner never does.
+    stack them), and ships each worker its method's start trust.  Workers
+    return raw trust/selection arrays and the runner absorbs them exactly as
+    it absorbs an inline solve, so every number is identical to the inline
+    path.  The scheduler's owner closes it; the runner never does.
     """
 
     def __init__(
@@ -85,32 +98,34 @@ class StreamRunner:
             name: dict((method_kwargs or {}).get(name, {}))
             for name in self.method_names
         }
-        self.sessions: Dict[str, FusionSession] = {
-            name: FusionSession(
-                make_method(name, **self.method_kwargs[name]),
-                warm_start=warm_start,
-            )
+        self.methods: Dict[str, FusionMethod] = {
+            name: make_method(name, **self.method_kwargs[name])
             for name in self.method_names
         }
-        # The session spec is the single source of truth for whether a
-        # method runs copy detection (the registry's `copying` column is
-        # Table 6 rendering data).
+        # The method instance is the single source of truth for whether it
+        # runs copy detection (the registry's `copying` column is Table 6
+        # rendering data).
         self._with_copy = any(
-            session.spec.uses_copy_detection
-            for session in self.sessions.values()
+            method.uses_copy_detection for method in self.methods.values()
         )
         self.compiler = SeriesCompiler(track_copy_structures=self._with_copy)
+        self.warm_start = warm_start
         self.scheduler = scheduler
         self.steps: List[StreamStep] = []
+        # What carries across days: each method's converged trust, over the
+        # sources of the problem it was solved on.
+        self._trust: Dict[str, np.ndarray] = {}
+        self._sources: List[str] = []
+        self._problem: Optional[FusionProblem] = None
 
     # ---------------------------------------------------------------- stepping
     def push(self, dataset: Dataset) -> StreamStep:
-        """Ingest a full daily snapshot and advance every session."""
+        """Ingest a full daily snapshot and advance every method."""
         started = time.perf_counter()
         return self._step(self.compiler.ingest(dataset), started)
 
     def push_delta(self, delta: ClaimDelta) -> StreamStep:
-        """Apply an explicit claim delta and advance every session."""
+        """Apply an explicit claim delta and advance every method."""
         started = time.perf_counter()
         return self._step(self.compiler.apply_delta(delta), started)
 
@@ -120,53 +135,25 @@ class StreamRunner:
             raise FusionError(f"day {day.day!r} holds no active claims")
         problem = day.problem()
         compile_seconds = time.perf_counter() - started
+        warmed = self.warm_start and self._problem is not None
         scheduler = self.scheduler
-        results: Dict[str, FusionResult] = {}
         if (
             scheduler is None
             or not scheduler.parallel
             or len(self.method_names) < 2
         ):
-            for name in self.method_names:
-                results[name] = self.sessions[name].step(problem, day=day.day)
-        else:
-            from repro.parallel import MethodCall, SolveJob
-
-            key = scheduler.register(
-                "stream-day", problem, with_copy=self._with_copy
-            )
-            warm = {
-                name: self.sessions[name].resume_trust(problem)
+            solves = {
+                name: self._solve_inline(name, problem, warmed)
                 for name in self.method_names
             }
-            jobs = [
-                SolveJob(
-                    problem=key,
-                    calls=[
-                        MethodCall(
-                            name,
-                            kwargs=self.method_kwargs[name],
-                            warm_trust=warm[name],
-                        )
-                    ],
-                    raw=True,
-                )
-                for name in self.method_names
-            ]
-            for name, outcome in zip(self.method_names, scheduler.run(jobs)):
-                call = outcome.calls[0]
-                results[name] = self.sessions[name].absorb_step(
-                    problem,
-                    {"trust": call.trust},
-                    call.selected,
-                    call.rounds,
-                    call.converged,
-                    call.runtime_seconds,
-                    day=day.day,
-                    warmed=warm[name] is not None,
-                )
-        for result in results.values():
-            result.extras["compile"] = day.stats
+        else:
+            solves = self._solve_on(scheduler, problem, warmed)
+        results = {
+            name: self._absorb(name, day, problem, warmed, solves[name])
+            for name in self.method_names
+        }
+        self._sources = list(problem.sources)
+        self._problem = problem
         step = StreamStep(
             day=day.day,
             results=results,
@@ -178,6 +165,108 @@ class StreamRunner:
         )
         self.steps.append(step)
         return step
+
+    def _start_state(
+        self, name: str, problem: FusionProblem, warmed: bool
+    ) -> State:
+        """``name``'s state at the start of a day on ``problem``.
+
+        Trust resumes from yesterday's fixed point when the day is warm;
+        every other state entry (difficulty, independence, ...) is
+        problem-shaped and starts fresh from the method's initial state.
+        """
+        state = self.methods[name]._initial_state(problem, None)
+        if warmed:
+            state["trust"] = self._rebased_trust(name, problem, state["trust"])
+        return state
+
+    def _rebased_trust(
+        self, name: str, problem: FusionProblem, fresh: np.ndarray
+    ) -> np.ndarray:
+        """Map ``name``'s previous-day trust onto the new source universe.
+
+        ``fresh`` is the method's initial trust for the new problem — it
+        fixes the target shape (sources on axis 0, any per-attribute/-category
+        axes after), so methods with non-standard trust shapes rebase too;
+        sources whose carried rows no longer fit keep their fresh priors.
+        """
+        prev = self._trust[name]
+        trust = np.array(fresh, dtype=np.float64, copy=True)
+        for i, source_id in enumerate(self._sources):
+            j = problem.source_index.get(source_id)
+            if j is not None and prev[i].shape == trust[j].shape:
+                trust[j] = prev[i]
+        return trust
+
+    def _solve_inline(
+        self, name: str, problem: FusionProblem, warmed: bool
+    ) -> _Solve:
+        started = time.perf_counter()
+        state = self._start_state(name, problem, warmed)
+        if (
+            warmed
+            and problem is not self._problem
+            and self._sources == problem.sources
+        ):
+            # Same source universe: yesterday's solver buffers (the
+            # trust-shaped conv_delta in particular) fit today's solve
+            # exactly — inherit them instead of reallocating the pool.
+            problem.adopt_scratch(self._problem)
+        selected, rounds, converged = run_fixed_point(
+            self.methods[name], problem, state
+        )
+        return state, selected, rounds, converged, time.perf_counter() - started
+
+    def _solve_on(
+        self, scheduler: SolveScheduler, problem: FusionProblem, warmed: bool
+    ) -> Dict[str, _Solve]:
+        from repro.parallel import MethodCall, SolveJob
+
+        key = scheduler.register(
+            "stream-day", problem, with_copy=self._with_copy
+        )
+        jobs = [
+            SolveJob(
+                problem=key,
+                calls=[
+                    MethodCall(
+                        name,
+                        kwargs=self.method_kwargs[name],
+                        warm_trust=(
+                            self._start_state(name, problem, warmed)["trust"]
+                            if warmed else None
+                        ),
+                    )
+                ],
+                raw=True,
+            )
+            for name in self.method_names
+        ]
+        solves: Dict[str, _Solve] = {}
+        for name, outcome in zip(self.method_names, scheduler.run(jobs)):
+            call = outcome.calls[0]
+            solves[name] = (
+                {"trust": call.trust}, call.selected, call.rounds,
+                call.converged, call.runtime_seconds,
+            )
+        return solves
+
+    def _absorb(
+        self,
+        name: str,
+        day: DayCompilation,
+        problem: FusionProblem,
+        warmed: bool,
+        solve: _Solve,
+    ) -> FusionResult:
+        """Package one method's solve of ``day`` and carry its trust on."""
+        state = solve[0]
+        result = self.methods[name]._package(problem, *solve)
+        result.extras["day"] = day.day
+        result.extras["warm_started"] = warmed
+        result.extras["compile"] = day.stats
+        self._trust[name] = state["trust"]
+        return result
 
     @property
     def days(self) -> List[str]:

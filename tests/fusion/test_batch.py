@@ -8,7 +8,6 @@ from repro.evaluation.ordering import sources_by_recall
 from repro.fusion.base import FusionProblem
 from repro.fusion.batch import GoldScorer, RestrictionSweep
 from repro.fusion.registry import METHOD_NAMES, make_method
-from repro.fusion.spec import MethodSpec
 
 from tests.helpers import PROBLEM_ARRAYS, build_dataset
 
@@ -46,14 +45,14 @@ def sweep(problem, prefixes):
 class TestSweepEqualsOneShot:
     @pytest.mark.parametrize("name", METHOD_NAMES)
     def test_every_method_is_bit_identical(self, problem, prefixes, sweep, name):
-        spec = MethodSpec.of(make_method(name))
-        raw = sweep.solve(make_method(name))
+        method = make_method(name)
+        raw = sweep.solve(method)
         for subset, bare in zip(prefixes, raw):
             reference = make_method(name).run(problem.restrict_sources(subset))
             assert bare.sources == list(reference.trust)
             assert not bare.empty
             # The raw arrays package to exactly the one-shot result.
-            result = spec.package(
+            result = method._package(
                 bare.matcher, {"trust": bare.trust_array},
                 bare.selected_local, bare.rounds, bare.converged, 0.0,
             )
@@ -154,11 +153,11 @@ class TestSweepCompilesRestrictions:
 
     def test_sparse_chain_solves_like_per_job(self):
         base = _sparse_base()
-        spec = MethodSpec.of(make_method("AccuSim"))
-        outcomes = RestrictionSweep(base, SPARSE_CHAIN).solve(spec)
+        method = make_method("AccuSim")
+        outcomes = RestrictionSweep(base, SPARSE_CHAIN).solve(method)
         for outcome, subset in zip(outcomes, SPARSE_CHAIN):
             reference = make_method("AccuSim").run(base.restrict_sources(subset))
-            result = spec.package(
+            result = method._package(
                 outcome.matcher, {"trust": outcome.trust_array},
                 outcome.selected_local, outcome.rounds, outcome.converged, 0.0,
             )

@@ -32,12 +32,8 @@ from repro.fusion.base import FusionProblem, resolve_engine
 from repro.fusion.batch import RestrictionSweep
 from repro.fusion.ir import _minmax
 from repro.fusion.registry import METHOD_NAMES, make_method
-from repro.fusion.spec import (
-    FusionSession,
-    KernelProfiler,
-    MethodSpec,
-    run_fixed_point,
-)
+from repro.fusion.spec import KernelProfiler, run_fixed_point
+from repro.streaming import StreamRunner
 
 DOMAINS = ("stock", "flight")
 #: The tolerance-tier contract.  Observed differences on the tiny
@@ -80,10 +76,10 @@ class TestEveryMethodEquivalent:
     def test_dispatch_matches_contract(self, engine_pair, method_name):
         """Fused methods run the native round; the rest run the numpy loop."""
         _, _, native_problem = engine_pair
-        spec = MethodSpec.of(make_method(method_name, engine="native"))
-        state = spec.initial_state(native_problem, None)
+        method = make_method(method_name, engine="native")
+        state = method._initial_state(native_problem, None)
         profiler = KernelProfiler()
-        run_fixed_point(spec, native_problem, state, profiler=profiler)
+        run_fixed_point(method, native_problem, state, profiler=profiler)
         report = profiler.report()
         if method_name in native.native_method_names():
             assert "native_round" in report
@@ -185,7 +181,7 @@ class TestFallbackWithoutNumba:
         assert out.trust == ref.trust
 
 
-class TestWarmSessionsEquivalent:
+class TestWarmStreamsEquivalent:
     def test_streamed_days_match(self, stock_collection):
         from repro.datagen import perturbed_claim_stream
 
@@ -194,12 +190,12 @@ class TestWarmSessionsEquivalent:
         )
         per_engine = {}
         for engine in ("numpy", "native"):
-            session = FusionSession(
-                make_method("AccuPr", engine=engine), warm_start=True
+            runner = StreamRunner(
+                ["AccuPr"], {"AccuPr": {"engine": engine}}, warm_start=True
             )
-            days = [session.advance(stream.base)]
-            days += [session.advance(snap) for snap in stream.snapshots]
-            per_engine[engine] = days
+            days = [runner.push(stream.base)]
+            days += [runner.push(snap) for snap in stream.snapshots]
+            per_engine[engine] = [day.results["AccuPr"] for day in days]
         for ref, nat in zip(per_engine["numpy"], per_engine["native"]):
             assert nat.selected == ref.selected
             assert nat.rounds == ref.rounds

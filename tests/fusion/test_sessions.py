@@ -1,31 +1,30 @@
-"""Spec + session split: MethodSpec, FusionSession, streaming equivalence."""
+"""One solver API: a method solves, a StreamRunner streams.
 
-import numpy as np
+``FusionMethod.run`` is the one cold solve; :class:`StreamRunner` carries
+each method's trust across days and warm-starts the same fixed point.
+"""
+
 import pytest
 
 from repro.core.delta import ClaimDelta, SeriesCompiler
 from repro.core.records import Claim, DataItem
 from repro.fusion.base import FusionProblem
 from repro.fusion.registry import METHOD_NAMES, make_method
-from repro.fusion.spec import FusionSession, MethodSpec
+from repro.streaming import StreamRunner
 
 from tests.helpers import build_dataset
 
 
-class TestMethodSpec:
-    def test_spec_exposes_parameters(self):
-        spec = MethodSpec.of(make_method("AccuSimAttr", max_rounds=7))
-        assert spec.name == "AccuSimAttr"
-        assert spec.per_attribute_trust
-        assert spec.max_rounds == 7
-        assert not spec.uses_copy_detection
+class TestMethodParameters:
+    def test_method_exposes_parameters(self):
+        method = make_method("AccuSimAttr", max_rounds=7)
+        assert method.name == "AccuSimAttr"
+        assert method.per_attribute_trust
+        assert method.max_rounds == 7
+        assert not method.uses_copy_detection
 
-    def test_accucopy_spec_requests_copy_tracking(self):
-        assert MethodSpec.of(make_method("AccuCopy")).uses_copy_detection
-
-    def test_of_is_idempotent(self):
-        spec = MethodSpec.of(make_method("Vote"))
-        assert MethodSpec.of(spec) is spec
+    def test_accucopy_requests_copy_tracking(self):
+        assert make_method("AccuCopy").uses_copy_detection
 
     def test_methods_are_stateless_across_runs(self, flight_problem):
         """One instance run twice gives identical results (no hidden state)."""
@@ -37,33 +36,30 @@ class TestMethodSpec:
         assert first.rounds == second.rounds
 
 
-class TestRunEqualsColdSession:
+class TestRunEqualsColdStreamDay:
     @pytest.mark.parametrize("name", ["Vote", "AccuSim", "3-Estimates"])
-    def test_one_shot_run_is_a_cold_session_step(self, flight_problem, name):
+    def test_one_shot_run_is_a_cold_stream_day(
+        self, flight_snapshot, flight_problem, name
+    ):
         run_result = make_method(name).run(flight_problem)
-        session_result = FusionSession(
-            make_method(name), warm_start=False
-        ).step(flight_problem)
-        assert run_result.selected == session_result.selected
-        assert run_result.trust == session_result.trust
-        assert run_result.rounds == session_result.rounds
+        step = StreamRunner([name], warm_start=False).push(flight_snapshot)
+        day_result = step.results[name]
+        assert run_result.selected == day_result.selected
+        assert run_result.trust == day_result.trust
+        assert run_result.rounds == day_result.rounds
 
 
-class TestColdSessionsMatchFromScratch:
+class TestColdStreamsMatchFromScratch:
     def test_every_method_every_day(self, flight_collection):
-        """The acceptance bar: session-streamed days == cold compiles,
+        """The acceptance bar: cold-streamed days == cold compiles,
         for all registered methods, on a generated DatasetSeries."""
-        compiler = SeriesCompiler(track_copy_structures=True)
-        sessions = {
-            name: FusionSession(make_method(name), warm_start=False)
-            for name in METHOD_NAMES
-        }
+        runner = StreamRunner(list(METHOD_NAMES), warm_start=False)
+        assert runner.compiler.track_copy_structures
         for snapshot in flight_collection.series:
-            day = compiler.ingest(snapshot)
-            problem = day.problem()
+            step = runner.push(snapshot)
             cold_problem = FusionProblem(snapshot)
             for name in METHOD_NAMES:
-                streamed = sessions[name].step(problem, day=day.day)
+                streamed = step.results[name]
                 cold = make_method(name).run(cold_problem)
                 assert streamed.selected == cold.selected, (snapshot.day, name)
                 assert streamed.rounds == cold.rounds
@@ -73,7 +69,7 @@ class TestColdSessionsMatchFromScratch:
                     )
 
 
-class TestWarmSessions:
+class TestWarmStreams:
     def test_warm_start_carries_trust(self):
         base = build_dataset({
             ("good", "o1", "price"): 10.0,
@@ -83,32 +79,32 @@ class TestWarmSessions:
             ("other", "o1", "price"): 10.0,
             ("other", "o2", "price"): 20.0,
         })
-        session = FusionSession(make_method("AccuPr"), warm_start=True)
-        first = session.advance(base)
+        runner = StreamRunner(["AccuPr"], warm_start=True)
+        first = runner.push(base).results["AccuPr"]
         assert not first.extras["warm_started"]
         delta = ClaimDelta(
             day="d1",
             added=(("bad", DataItem("o1", "price"), Claim(value=98.0)),),
         )
-        second = session.update(delta)
+        second = runner.push_delta(delta).results["AccuPr"]
         assert second.extras["warm_started"]
         assert second.extras["day"] == "d1"
         # The unreliable source stayed unreliable across the stream.
         assert second.trust["bad"] < second.trust["good"]
-        assert session.days == [base.day, "d1"]
+        assert runner.days == [base.day, "d1"]
 
     def test_warm_start_converges_in_fewer_rounds(self, flight_collection):
         from repro.datagen import perturbed_claim_stream
 
         base = flight_collection.series[0]
         stream = perturbed_claim_stream(base, n_days=2, churn=0.005, seed=5)
-        warm = FusionSession(make_method("AccuPr"), warm_start=True)
-        warm.advance(base)
+        warm = StreamRunner(["AccuPr"], warm_start=True)
+        warm.push(base)
         cold_rounds = make_method("AccuPr").run(
             FusionProblem(stream.snapshots[-1])
         ).rounds
         for delta in stream.deltas:
-            result = warm.update(delta)
+            result = warm.push_delta(delta).results["AccuPr"]
         assert result.rounds <= cold_rounds
 
     def test_warm_restart_reuses_convergence_scratch(self):
@@ -120,17 +116,17 @@ class TestWarmSessions:
             ("bad", "o1", "price"): 99.0,
             ("other", "o1", "price"): 10.0,
         })
-        session = FusionSession(make_method("AccuPr"), warm_start=True)
-        session.advance(base)
-        first_problem = session.problem
+        runner = StreamRunner(["AccuPr"], warm_start=True)
+        runner.push(base)
+        first_problem = runner._problem
         buffer = first_problem._scratch_bufs["conv_delta"]
         delta = ClaimDelta(
             day="d1",
             added=(("bad", DataItem("o1", "price"), Claim(value=98.0)),),
         )
-        session.update(delta)
-        assert session.problem is not first_problem
-        assert session.problem._scratch_bufs["conv_delta"] is buffer
+        runner.push_delta(delta)
+        assert runner._problem is not first_problem
+        assert runner._problem._scratch_bufs["conv_delta"] is buffer
 
     def test_new_source_breaks_scratch_adoption(self):
         from repro.core.records import SourceMeta
@@ -139,18 +135,18 @@ class TestWarmSessions:
             ("good", "o1", "price"): 10.0,
             ("bad", "o1", "price"): 99.0,
         })
-        session = FusionSession(make_method("AccuPr"), warm_start=True)
-        session.advance(base)
-        buffer = session.problem._scratch_bufs["conv_delta"]
+        runner = StreamRunner(["AccuPr"], warm_start=True)
+        runner.push(base)
+        buffer = runner._problem._scratch_bufs["conv_delta"]
         delta = ClaimDelta(
             day="d1",
             added=(("fresh", DataItem("o1", "price"), Claim(value=10.0)),),
             new_sources=(SourceMeta("fresh"),),
         )
-        result = session.update(delta)
+        result = runner.push_delta(delta).results["AccuPr"]
         # Different source universe: the old trust-shaped buffer no longer
         # fits, so the new problem allocates its own.
-        assert session.problem._scratch_bufs["conv_delta"] is not buffer
+        assert runner._problem._scratch_bufs["conv_delta"] is not buffer
         assert result.trust["fresh"] > 0.0
 
     def test_new_source_mid_stream_gets_initial_trust(self):
@@ -160,44 +156,33 @@ class TestWarmSessions:
             ("s1", "o1", "price"): 10.0,
             ("s2", "o1", "price"): 10.0,
         })
-        session = FusionSession(make_method("AccuPr"), warm_start=True)
-        session.advance(base)
+        runner = StreamRunner(["AccuPr"], warm_start=True)
+        runner.push(base)
         delta = ClaimDelta(
             day="d1",
             added=(("late", DataItem("o1", "price"), Claim(value=10.0)),),
             new_sources=(SourceMeta("late"),),
         )
-        result = session.update(delta)
+        result = runner.push_delta(delta).results["AccuPr"]
         assert "late" in result.trust
 
-    def test_nonstandard_trust_shape_rebases(self, flight_collection):
-        """Methods with (sources, categories) trust warm-start too."""
-        from repro.fusion.extensions import AccuCategory
-
-        session = FusionSession(AccuCategory(), warm_start=True)
-        for snapshot in flight_collection.series:
-            result = session.advance(snapshot)
-        assert result.extras["warm_started"]
-        assert result.selected
-
     def test_per_attribute_trust_rebases(self, flight_collection):
-        session = FusionSession(make_method("AccuSimAttr"), warm_start=True)
+        runner = StreamRunner(["AccuSimAttr"], warm_start=True)
         for snapshot in flight_collection.series:
-            result = session.advance(snapshot)
+            result = runner.push(snapshot).results["AccuSimAttr"]
+        assert result.extras["warm_started"]
         assert result.attr_trust is not None
 
     def test_accucopy_streams_with_tracked_counts(self, flight_collection):
-        session = FusionSession(make_method("AccuCopy"), warm_start=True)
+        runner = StreamRunner(["AccuCopy"], warm_start=True)
         for snapshot in flight_collection.series:
-            result = session.advance(snapshot)
-        assert session.compiler.track_copy_structures
+            result = runner.push(snapshot).results["AccuCopy"]
+        assert runner.compiler.track_copy_structures
         assert result.converged or result.rounds > 0
 
 
 class TestStreamRunner:
     def test_shared_compiler_and_results(self, flight_collection):
-        from repro.streaming import StreamRunner
-
         runner = StreamRunner(["Vote", "AccuPr"], warm_start=True)
         for snapshot in flight_collection.series:
             step = runner.push(snapshot)
@@ -206,8 +191,6 @@ class TestStreamRunner:
         assert runner.days == flight_collection.series.days
 
     def test_push_delta(self):
-        from repro.streaming import StreamRunner
-
         base = build_dataset({
             ("s1", "o1", "price"): 10.0,
             ("s2", "o1", "price"): 11.0,
@@ -224,16 +207,12 @@ class TestStreamRunner:
         assert selected[DataItem("o1", "price")] == 10.0
 
     def test_step_stats_count_the_day(self, stock_snapshot):
-        from repro.streaming import StreamRunner
-
         step = StreamRunner(["Vote"]).push(stock_snapshot)
         assert step.stats.n_active_claims == stock_snapshot.num_claims
         assert step.stats.n_added_claims == stock_snapshot.num_claims
         assert step.results["Vote"].extras["compile"] is step.stats
 
-    def test_sessions_warm_start_from_the_second_day(self, stock_collection):
-        from repro.streaming import StreamRunner
-
+    def test_methods_warm_start_from_the_second_day(self, stock_collection):
         runner = StreamRunner(["AccuPr"])
         first = runner.push(stock_collection.series.snapshots[0])
         second = runner.push(stock_collection.series.snapshots[1])
@@ -246,7 +225,6 @@ class TestStreamRunner:
         """Every day of a compacting delta stream fuses like its snapshot."""
         from repro.core import delta as delta_mod
         from repro.datagen import perturbed_claim_stream
-        from repro.streaming import StreamRunner
 
         monkeypatch.setattr(delta_mod, "DEFAULT_MAX_INACTIVE_RATIO", 0.05)
         methods = ["Vote", "AccuSim"]
@@ -270,14 +248,12 @@ class TestStreamRunner:
 
     def test_delta_before_ingest_raises(self):
         from repro.errors import FusionError
-        from repro.streaming import StreamRunner
 
         with pytest.raises(FusionError, match="prior ingest"):
             StreamRunner(["Vote"]).push_delta(ClaimDelta(day="d1"))
 
     def test_sharding_is_not_an_option(self):
         from repro.serving import TruthService
-        from repro.streaming import StreamRunner
 
         with pytest.raises(TypeError):
             StreamRunner(["Vote"], shards=2)
@@ -315,8 +291,6 @@ def _assert_same_results(ours, theirs, name):
 
 @pytest.fixture(scope="module")
 def joint_steps(stock_collection):
-    from repro.streaming import StreamRunner
-
     runner = StreamRunner(list(METHOD_NAMES), warm_start=True)
     return _feed(runner, *_stream_inputs(stock_collection))
 
@@ -328,8 +302,6 @@ class TestJointStream:
     def test_joint_runner_matches_single_method_runner(
         self, stock_collection, joint_steps, name
     ):
-        from repro.streaming import StreamRunner
-
         alone = _feed(
             StreamRunner([name], warm_start=True),
             *_stream_inputs(stock_collection),
@@ -342,8 +314,6 @@ class TestJointStream:
     )
     def test_delta_days_match_snapshot_days(self, stock_collection, name):
         """A warm stream fed explicit deltas == the same days as snapshots."""
-        from repro.streaming import StreamRunner
-
         stream, _last = _stream_inputs(stock_collection)
         by_delta = StreamRunner([name], warm_start=True)
         by_snapshot = StreamRunner([name], warm_start=True)

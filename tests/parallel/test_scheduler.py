@@ -163,6 +163,41 @@ class TestParallelDeterminism:
             stores[1].publish_step(step)
             assert stores[0].snapshot() == stores[1].snapshot(), step.day
 
+    def test_round_cap_reports_unconverged_on_every_path(self, stock):
+        """A solve that hits ``max_rounds`` says so — ``converged is False``
+        and ``rounds == max_rounds`` — from ``run``, from a stream day solved
+        inline and from the same day solved on workers, with the same
+        numbers everywhere."""
+        from repro.fusion.base import FusionProblem
+        from repro.streaming import StreamRunner
+
+        methods = ["PooledInvest", "Invest"]
+        kwargs = {name: {"max_rounds": 3} for name in methods}
+        days = list(stock.series)[:2]
+        inline = StreamRunner(methods, kwargs)
+        with SolveScheduler(workers=2) as two_workers:
+            fanned = StreamRunner(methods, kwargs, scheduler=two_workers)
+            steps = [(inline.push(day), fanned.push(day)) for day in days]
+        cold = FusionProblem(days[0])
+        for name in methods:
+            run = make_method(name, **kwargs[name]).run(cold)
+            results = [run] + [
+                step.results[name] for pair in steps for step in pair
+            ]
+            if name == "PooledInvest":
+                for result in results:
+                    assert result.converged is False
+                    assert result.rounds == 3
+            # Cold first day: run == inline == worker.  Warm second day:
+            # inline == worker.
+            for a, b in [(run, results[1]), (results[1], results[2]),
+                         (results[3], results[4])]:
+                assert b.selected == a.selected, name
+                assert b.trust == a.trust, name
+                assert b.attr_trust == a.attr_trust, name
+                assert (b.rounds, b.converged) == (a.rounds, a.converged), name
+        assert steps[1][0].results["PooledInvest"].extras["warm_started"]
+
     def test_serial_fallback_is_the_same_code_path(self, problem):
         outcomes = solve_methods(problem, ["AccuPr"])
         reference = make_method("AccuPr").run(problem)

@@ -117,6 +117,42 @@ class TestFuseSolverFlags:
         err = capsys.readouterr().err
         assert "error: " in err and "claim row has 2 fields, expected 5" in err
 
+    def test_fuse_reports_a_missing_claims_file(self, tmp_path, capsys):
+        assert main(["fuse", str(tmp_path / "missing.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.csv" in err
+
+    def test_fuse_reports_a_missing_gold_file_before_solving(
+        self, claims_csv, tmp_path, capsys
+    ):
+        assert main([
+            "fuse", str(claims_csv), "--method", "Vote",
+            "--gold", str(tmp_path / "nope.csv"),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and "nope.csv" in captured.err
+        assert "rounds" not in captured.err  # no method solved
+        assert captured.out == ""
+
+    def test_fuse_reports_a_malformed_gold_file_before_solving(
+        self, claims_csv, tmp_path, capsys
+    ):
+        bad = tmp_path / "gold.csv"
+        for text, reason in [
+            ("object,attribute,value\no1,price,f:10.0\n", "not a gold CSV"),
+            ("", "not a gold CSV"),
+            ("domain,x\nobject,attribute,value\no1,price\n",
+             "line 3: gold row has 2 fields, expected 3"),
+        ]:
+            bad.write_text(text)
+            assert main([
+                "fuse", str(claims_csv), "--method", "Vote", "--gold", str(bad),
+            ]) == 2
+            captured = capsys.readouterr()
+            assert "error: " in captured.err and reason in captured.err
+            assert "rounds" not in captured.err  # no method solved
+            assert captured.out == ""
+
     def test_max_rounds_caps_iteration(self, claims_csv, tmp_path):
         output = tmp_path / "result.json"
         assert main([

@@ -466,13 +466,10 @@ class TestTruthService:
         assert store.lookup("o2", "price").value == 6.0
         assert store.version == 3
 
-    def test_service_matches_direct_sessions(self, dataset):
-        from repro.fusion.spec import FusionSession
-
+    def test_service_matches_a_direct_run(self, dataset):
         service = TruthService(["AccuSim"])
         service.ingest(dataset)
-        session = FusionSession(make_method("AccuSim"), warm_start=True)
-        reference = session.advance(dataset)
+        reference = make_method("AccuSim").run(dataset)
         store = service.store
         for item, value in reference.selected.items():
             assert (
