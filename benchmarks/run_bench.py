@@ -341,7 +341,9 @@ def bench_parallel(domain: str, scale: str, workers: int) -> Dict[str, object]:
     The restriction sweep in process versus fanned out over ``workers``
     shared-memory workers, plus the 16-method comparison serial versus
     scheduled.  Cross-checks that both configurations produce identical
-    curves / selections.
+    curves, and identical whole results — selections, trust, attribute
+    trust, rounds and convergence — for the 16 methods, whose results the
+    scheduler packages in the parent from the workers' raw solves.
     """
     from repro.parallel import SolveScheduler, solve_methods
 
@@ -387,9 +389,12 @@ def bench_parallel(domain: str, scale: str, workers: int) -> Dict[str, object]:
         serial_curves[name].recalls == parallel_curves[name].recalls
         for name in SWEEP_METHODS
     )
-    selections_equal = all(
-        outcome.result.selected == serial16[outcome.method].selected
+    fields = ("selected", "trust", "attr_trust", "rounds", "converged")
+    results_equal = all(
+        getattr(outcome.result, name)
+        == getattr(serial16[outcome.method], name)
         for outcome in outcomes
+        for name in fields
     )
     return {
         "workers": workers,
@@ -405,7 +410,7 @@ def bench_parallel(domain: str, scale: str, workers: int) -> Dict[str, object]:
             "serial_s": serial16_s,
             "parallel_s": parallel16_s,
             "speedup": serial16_s / parallel16_s,
-            "selections_equal": selections_equal,
+            "results_equal": results_equal,
         },
     }
 
@@ -831,7 +836,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f" x{par['figure9_sweep']['parallel_speedup']:.1f}"
                 f" (curves equal: {par['figure9_sweep']['curves_equal']}),"
                 f" 16 methods x{par['methods16']['speedup']:.1f}"
-                f" (selections equal: {par['methods16']['selections_equal']})",
+                f" (results equal: {par['methods16']['results_equal']})",
                 flush=True,
             )
 

@@ -62,6 +62,17 @@ from repro.io import (
 )
 
 
+def _positive_int(text: str) -> int:
+    """An argparse ``type`` for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _method_kwargs(args: argparse.Namespace) -> dict:
     """Solver flags shared by ``fuse``, ``stream`` and ``serve``."""
     kwargs = {}
@@ -83,8 +94,24 @@ def _cmd_methods(_args: argparse.Namespace) -> int:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     from repro.parallel import solve_methods
 
-    # Both inputs are read before any method solves, so a bad path or a
-    # malformed file fails at once rather than after the last solve.
+    methods = args.method or ["AccuSim"]
+    multi = len(methods) > 1
+    outputs = {}
+    if args.output:
+        output = Path(args.output)
+        for name in methods:
+            outputs[name] = (
+                output.with_name(f"{output.stem}.{name}{output.suffix}")
+                if multi else output
+            )
+    # Output paths are checked and both inputs read before any method
+    # solves, so a bad path or a malformed file fails at once rather than
+    # after the last solve.
+    for path in outputs.values():
+        path_error = _store_path_error(path)
+        if path_error is not None:
+            print(f"error: cannot write {path}: {path_error}", file=sys.stderr)
+            return 2
     try:
         dataset = read_claims_csv(args.claims)
         gold = read_gold_csv(args.gold) if args.gold else None
@@ -96,7 +123,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         f"({dataset.num_items} items)",
         file=sys.stderr,
     )
-    methods = args.method or ["AccuSim"]
     kwargs = _method_kwargs(args)
     problem = FusionProblem(dataset)
     # One compiled problem, one method run each.
@@ -105,7 +131,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         methods,
         method_kwargs={name: dict(kwargs) for name in methods},
     )
-    multi = len(methods) > 1
     for name, outcome in zip(methods, outcomes):
         result = outcome.result
         print(
@@ -117,12 +142,9 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             score = evaluate(dataset, gold, result)
             prefix = f"{name}: " if multi else ""
             print(f"{prefix}precision={score.precision:.4f} recall={score.recall:.4f}")
-        if args.output:
-            output = Path(args.output)
-            if multi:
-                output = output.with_name(f"{output.stem}.{name}{output.suffix}")
-            write_result_json(result, output)
-            print(f"wrote {output}", file=sys.stderr)
+        if outputs:
+            write_result_json(result, outputs[name])
+            print(f"wrote {outputs[name]}", file=sys.stderr)
         elif gold is None:
             for item, value in sorted(result.selected.items())[:20]:
                 print(f"{item.object_id}\t{item.attribute}\t{value}")
@@ -138,6 +160,16 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"{directory} is not a directory", file=sys.stderr)
         return 2
+    output_dir = Path(args.output_dir) if args.output_dir else None
+    if output_dir is not None:
+        try:
+            output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            print(
+                f"error: cannot create output directory {output_dir}: {error}",
+                file=sys.stderr,
+            )
+            return 2
     methods = args.method or ["AccuSim"]
     kwargs = _method_kwargs(args)
     runner = StreamRunner(
@@ -145,9 +177,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         {name: dict(kwargs) for name in methods} if kwargs else None,
         warm_start=not args.cold,
     )
-    output_dir = Path(args.output_dir) if args.output_dir else None
-    if output_dir is not None:
-        output_dir.mkdir(parents=True, exist_ok=True)
     return _stream_loop(args, directory, methods, runner, output_dir)
 
 
@@ -289,7 +318,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
         try:
             store = TruthStore.load(source)
-        except (OSError, ValueError, KeyError) as error:
+        except (OSError, ValueError, ValueParseError) as error:
             print(f"cannot read store {source}: {error}", file=sys.stderr)
             return 2
         with _start_listener(args, listen, store):
@@ -355,7 +384,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _store_path_error(path: Path) -> Optional[str]:
-    """Why a store file cannot be written at ``path`` (``None`` if it can)."""
+    """Why a file (a store or a result) cannot be written at ``path``.
+
+    ``None`` if it can.
+    """
     directory = path.parent
     if not directory.is_dir():
         return f"directory {directory} does not exist"
@@ -416,7 +448,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     try:
         store = TruthStore.load(args.store)
-    except (OSError, ValueError, KeyError) as error:
+    except (OSError, ValueError, ValueParseError) as error:
         print(f"cannot read store {args.store}: {error}", file=sys.stderr)
         return 2
     snap = store.snapshot()
@@ -492,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuse.add_argument("-o", "--output",
                       help="write the result JSON here (with several methods "
                            "the method name is inserted before the suffix)")
-    fuse.add_argument("--max-rounds", type=int, default=None,
+    fuse.add_argument("--max-rounds", type=_positive_int, default=None,
                       help="cap on fixed-point rounds (method default: 60)")
     fuse.add_argument("--tolerance", type=float, default=None,
                       help="L-inf trust convergence threshold (default 1e-5)")
@@ -519,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="polling interval with --follow (default 2s)")
     stream.add_argument("--max-polls", type=int, default=None,
                         help="stop --follow after this many idle polls")
-    stream.add_argument("--max-rounds", type=int, default=None,
+    stream.add_argument("--max-rounds", type=_positive_int, default=None,
                         help="cap on fixed-point rounds (method default: 60)")
     stream.add_argument("--tolerance", type=float, default=None,
                         help="L-inf trust convergence threshold (default 1e-5)")
@@ -540,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="method(s) to publish (repeatable; default: AccuSim)")
     serve.add_argument("--store", default="truth_store.json",
                        help="output store path (default: truth_store.json)")
-    serve.add_argument("--max-rounds", type=int, default=None,
+    serve.add_argument("--max-rounds", type=_positive_int, default=None,
                        help="cap on fixed-point rounds (method default: 60)")
     serve.add_argument("--tolerance", type=float, default=None,
                        help="L-inf trust convergence threshold (default 1e-5)")

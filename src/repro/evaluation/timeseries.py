@@ -3,15 +3,9 @@
 Runs every method on every daily snapshot and reports, per method, the
 average, minimum, and standard deviation of the daily precision.
 
-The days stream through a :class:`~repro.streaming.StreamRunner`: each
-day's claims are diff-compiled against the previous day's universe
-(:class:`~repro.core.delta.SeriesCompiler`) instead of recompiled from
-scratch, and one compiled problem is shared by all methods.  With the
-default ``warm_start=False`` every day still cold-starts the fixed point,
-so the selections — and therefore every Table 9 number — are identical to
-running each method on a fresh ``FusionProblem(snapshot)``;
-``warm_start=True`` additionally resumes each method from the previous
-day's converged trust, trading bit-equality for fewer rounds.
+As in the paper, each day's snapshot is fused on its own: it is compiled
+once into a ``FusionProblem`` that all methods share, and every method
+cold-starts on it through :func:`~repro.parallel.solve_methods`.
 """
 
 from __future__ import annotations
@@ -23,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.dataset import DatasetSeries
 from repro.core.gold import GoldStandard
 from repro.evaluation.metrics import evaluate
+from repro.fusion.base import FusionProblem
 
 
 @dataclass
@@ -57,33 +52,32 @@ def precision_over_time(
     method_names: Sequence[str],
     days: Optional[Sequence[str]] = None,
     method_kwargs: Optional[Dict[str, dict]] = None,
-    warm_start: bool = False,
     scheduler=None,
 ) -> Dict[str, PrecisionSeries]:
     """Table 9: run each method on each day and summarize precision.
 
-    Days stay sequential (delta compilation and warm starts are causal),
-    but given a parallel :class:`~repro.parallel.SolveScheduler` the
-    methods within each day solve across its workers — identical numbers
-    either way.
+    Given a parallel :class:`~repro.parallel.SolveScheduler` the methods of
+    each day solve across its workers — identical numbers either way.
+    Every day registers under one key, so each day's export replaces the
+    last rather than stacking up.
     """
-    from repro.streaming import StreamRunner
+    from repro.parallel import solve_methods
 
     wanted_days = set(days) if days is not None else None
     per_method: Dict[str, PrecisionSeries] = {
         name: PrecisionSeries(method=name, days=[], precisions=[])
         for name in method_names
     }
-    runner = StreamRunner(
-        method_names, method_kwargs, warm_start=warm_start, scheduler=scheduler
-    )
     for snapshot in series:
         if wanted_days is not None and snapshot.day not in wanted_days:
             continue
         gold = gold_by_day[snapshot.day]
-        results = runner.push(snapshot).results
-        for name in method_names:
-            score = evaluate(snapshot, gold, results[name])
+        outcomes = solve_methods(
+            FusionProblem(snapshot), method_names, scheduler=scheduler,
+            key="table9-day", method_kwargs=method_kwargs,
+        )
+        for name, outcome in zip(method_names, outcomes):
+            score = evaluate(snapshot, gold, outcome.result)
             per_method[name].days.append(snapshot.day)
             per_method[name].precisions.append(score.precision)
     return per_method

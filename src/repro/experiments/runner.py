@@ -99,7 +99,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for the parallelizable experiments "
-             "(method comparisons, the Figure 9 sweep, Table 9 streaming)",
+             "(method comparisons, the Figure 9 sweep, Table 9's "
+             "per-day solves)",
     )
     args = parser.parse_args(argv)
 

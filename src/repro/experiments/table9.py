@@ -52,15 +52,12 @@ def run(
     ctx: ExperimentContext,
     method_names: Sequence[str] = METHOD_NAMES,
     max_days: Optional[int] = 8,
-    warm_start: bool = False,
 ) -> Table9Result:
     """Run every method on (a stride of) the daily snapshots.
 
     ``max_days`` bounds the number of fused days (evenly strided across the
-    period); pass ``None`` for the full month.  Days stream through a
-    :class:`~repro.streaming.StreamRunner` (shared delta compilation, the same numbers as a fresh
-    per-day compile); ``warm_start=True`` additionally carries trust
-    across days.
+    period); pass ``None`` for the full month.  Each day's snapshot is
+    compiled once and fused on its own by every method.
     """
     series: Dict[str, Dict[str, PrecisionSeries]] = {}
     for domain in ctx.domains:
@@ -73,7 +70,7 @@ def run(
             days = None
         series[domain] = precision_over_time(
             collection.series, collection.gold_by_day, method_names, days=days,
-            warm_start=warm_start, scheduler=ctx.scheduler(),
+            scheduler=ctx.scheduler(),
         )
     return Table9Result(series=series)
 

@@ -20,7 +20,6 @@ from repro.fusion.bayesian import (
 from repro.fusion.copy_aware import AccuCopy
 from repro.fusion.batch import RestrictionSweep
 from repro.fusion.ensemble import (
-    ensemble_of_methods,
     ensemble_vote,
     precision_weighted_ensemble,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "TruthFinder",
     "AccuCopy",
     "RestrictionSweep",
-    "ensemble_of_methods",
     "ensemble_vote",
     "precision_weighted_ensemble",
     "AccuCategory",

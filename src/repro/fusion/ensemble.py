@@ -79,37 +79,6 @@ def ensemble_vote(
     )
 
 
-def ensemble_of_methods(
-    dataset: Dataset,
-    method_names: Sequence[str],
-    *,
-    problem=None,
-    weights: Optional[Sequence[float]] = None,
-    validation_precisions: Optional[Dict[str, float]] = None,
-    method_kwargs: Optional[Dict[str, dict]] = None,
-    name: str = "Ensemble",
-) -> FusionResult:
-    """Run the member methods and combine them.
-
-    The members are solved on one shared compiled problem; the combination
-    itself is :func:`ensemble_vote` (or the precision-weighted variant when
-    ``validation_precisions`` is given).
-    """
-    from repro.fusion.base import FusionProblem
-    from repro.parallel import solve_methods
-
-    base = problem if problem is not None else FusionProblem(dataset)
-    outcomes = solve_methods(
-        base, list(method_names), method_kwargs=method_kwargs
-    )
-    results = [outcome.result for outcome in outcomes]
-    if validation_precisions is not None:
-        return precision_weighted_ensemble(
-            dataset, results, validation_precisions, name=name
-        )
-    return ensemble_vote(dataset, results, weights=weights, name=name)
-
-
 def precision_weighted_ensemble(
     dataset: Dataset,
     results: Sequence[FusionResult],

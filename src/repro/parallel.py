@@ -1,8 +1,8 @@
 """Parallel execution engine: shared-memory fusion workers and a solve scheduler.
 
 The paper's headline experiments are embarrassingly parallel — sixteen
-methods per snapshot, one solve per source-prefix in the Figure 9 sweep,
-one per day in Table 9 — but a compiled :class:`~repro.fusion.base.FusionProblem`
+methods per snapshot (and per day in Table 9), one solve per source-prefix
+in the Figure 9 sweep — but a compiled :class:`~repro.fusion.base.FusionProblem`
 is megabytes of numpy arrays, and pickling it into every worker would cost
 more than the solves.  This module is the layer in between:
 
@@ -13,27 +13,26 @@ more than the solves.  This module is the layer in between:
   tables (items, sources, values, attribute specs, gold) in a pickle
   sidecar loaded once per worker, and fans the jobs out to a persistent
   ``ProcessPoolExecutor``.  Workers rehydrate zero-copy problem views and
-  solve on them through the one solver path — :meth:`FusionMethod.run`,
-  :func:`~repro.fusion.spec.run_fixed_point` or the restriction sweep of
-  :mod:`repro.fusion.batch` — and results are gathered in deterministic
-  plan order.  With ``workers <= 1`` — or on platforms without POSIX
-  shared memory — the same job-execution code runs inline, so serial and
-  parallel schedules are bit-identical by construction.
-* Job shapes cover the big consumers: plain method runs (method
-  comparisons, ensembles: a cold ``run`` each), *sweeps* (Figure 9 /
-  greedy selection; each worker chunk compiles its restrictions once,
-  solves every method on them and scores the raw selections against the
-  registered gold standard), and *raw* stream-day solves (the worker starts
-  from the trust the :class:`~repro.streaming.StreamRunner` shipped and
-  returns trust + selected indices, which the runner absorbs, keeping
-  warm-start state authoritative in the parent).
+  solve on them through the one solver path —
+  :func:`~repro.fusion.spec.run_fixed_point`, alone or inside the
+  restriction sweep of :mod:`repro.fusion.batch` — and results are
+  gathered in deterministic plan order.  With ``workers <= 1`` — or on
+  platforms without POSIX shared memory — the same job-execution code
+  runs inline, so serial and parallel schedules are bit-identical by
+  construction.
+* Two job shapes cover the consumers: method calls (Tables 7, 8 and 9: a
+  cold fixed point each, returned as the trust array and the selected
+  cluster indices, which :func:`solve_methods` packages into a
+  :class:`~repro.fusion.base.FusionResult` in the parent, exactly as
+  :meth:`FusionMethod.run` would) and *sweeps* (Figure 9; each worker
+  chunk compiles its restrictions once, solves every method on them and
+  scores the raw selections against the registered gold standard).
 
 One pool per process run: the experiment context
 (:meth:`repro.experiments.context.ExperimentContext.scheduler`) is the only
-place that builds a multi-worker scheduler.  Consumers — :func:`solve_methods`,
-:func:`solve_sweep`, :class:`~repro.streaming.StreamRunner` — take that
-scheduler as an optional argument (``None`` solves inline) and never start
-or stop a pool themselves.
+place that builds a multi-worker scheduler.  Consumers — :func:`solve_methods`
+and :func:`solve_sweep` — take that scheduler as an optional argument
+(``None`` solves inline) and never start or stop a pool themselves.
 """
 
 from __future__ import annotations
@@ -85,9 +84,6 @@ class MethodCall:
     kwargs: Dict[str, object] = field(default_factory=dict)
     trust_seed: Optional[Dict[str, float]] = None
     freeze_trust: bool = False
-    #: A raw call's start trust (a warm stream day); packaged calls are
-    #: cold :meth:`~repro.fusion.base.FusionMethod.run` solves.
-    warm_trust: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -98,14 +94,13 @@ class SolveJob:
     subset through one :class:`repro.fusion.batch.RestrictionSweep`, and
     the outcomes carry trust arrays, rounds and, when the problem was
     registered with a gold standard, precision and recall.  Otherwise each
-    call runs on the whole problem; ``raw=True`` returns trust/selection
-    arrays instead of packaged results (the streaming protocol).
+    call runs on the whole problem and returns its trust and selection
+    arrays.
     """
 
     problem: str
     calls: List[MethodCall]
     subsets: Optional[List[List[str]]] = None
-    raw: bool = False
 
 
 @dataclass
@@ -113,9 +108,9 @@ class CallOutcome:
     """Outcome of one method call on one (possibly restricted) problem."""
 
     method: str
-    result: Optional[FusionResult] = None
+    result: Optional[FusionResult] = None  # packaged by solve_methods
     trust: Optional[np.ndarray] = None
-    selected: Optional[np.ndarray] = None  # cluster indices (raw jobs)
+    selected: Optional[np.ndarray] = None  # cluster indices (call jobs)
     rounds: int = 0
     converged: bool = False
     runtime_seconds: float = 0.0
@@ -284,23 +279,10 @@ def _worker_execute(descriptor: ProblemDescriptor, job: SolveJob) -> JobOutcome:
 # Job execution (shared by workers and the serial fallback)
 # --------------------------------------------------------------------------
 
-def _run_call(
-    problem: FusionProblem, call: MethodCall, raw: bool
-) -> CallOutcome:
+def _run_call(problem: FusionProblem, call: MethodCall) -> CallOutcome:
     method = make_method(call.method, **call.kwargs)
-    if not raw:
-        result = method.run(problem, call.trust_seed, call.freeze_trust)
-        return CallOutcome(
-            method=method.name,
-            result=result,
-            rounds=result.rounds,
-            converged=result.converged,
-            runtime_seconds=result.runtime_seconds,
-        )
     started = time.perf_counter()
     state = method._initial_state(problem, call.trust_seed)
-    if call.warm_trust is not None:
-        state["trust"] = np.array(call.warm_trust, dtype=np.float64, copy=True)
     selected, rounds, converged = run_fixed_point(
         method, problem, state, call.freeze_trust
     )
@@ -347,9 +329,7 @@ def _execute_job(
 ) -> JobOutcome:
     if job.subsets is not None:
         return _execute_sweep(problem, gold, job)
-    return JobOutcome(
-        calls=[_run_call(problem, call, job.raw) for call in job.calls]
-    )
+    return JobOutcome(calls=[_run_call(problem, call) for call in job.calls])
 
 
 # --------------------------------------------------------------------------
@@ -547,18 +527,26 @@ def solve_methods(
 ) -> List[CallOutcome]:
     """Run several method calls on one compiled problem.
 
-    Outcomes come back in ``calls`` order.  With a parallel ``scheduler``
-    each call is its own job; without one they solve inline.
+    Outcomes come back in ``calls`` order, each with its
+    :class:`~repro.fusion.base.FusionResult` — the one
+    :meth:`FusionMethod.run` returns.  Each call is its own job: across a
+    parallel ``scheduler``'s workers, or inline without one.  Either way
+    the solve returns arrays and the result is packaged here, in the
+    caller's process.
     """
     plan = _normalize_calls(calls, method_kwargs)
     sched = scheduler if scheduler is not None else SolveScheduler()
     key = sched.register(
         key, problem, gold=gold, with_copy=_uses_copy_detection(plan)
     )
-    if not sched.parallel:
-        return sched.run([SolveJob(problem=key, calls=plan)])[0].calls
     jobs = [SolveJob(problem=key, calls=[call]) for call in plan]
-    return [outcome.calls[0] for outcome in sched.run(jobs)]
+    outcomes = [outcome.calls[0] for outcome in sched.run(jobs)]
+    for call, outcome in zip(plan, outcomes):
+        outcome.result = make_method(call.method, **call.kwargs)._package(
+            problem, {"trust": outcome.trust}, outcome.selected,
+            outcome.rounds, outcome.converged, outcome.runtime_seconds,
+        )
+    return outcomes
 
 
 def solve_sweep(

@@ -39,7 +39,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.records import DataItem, Value
-from repro.errors import FusionError, StalePublishError, StoreWriteError
+from repro.errors import (
+    FusionError,
+    StalePublishError,
+    StoreWriteError,
+    ValueParseError,
+)
 from repro.io import PathLike, _decode_value, _encode_value
 
 __all__ = [
@@ -316,26 +321,35 @@ class TruthStore:
 
     @classmethod
     def load(cls, path: PathLike) -> "TruthStore":
-        """Load a store written by :meth:`save`; queries need no solver."""
+        """Load a store written by :meth:`save`; queries need no solver.
+
+        A payload of the wrong shape raises
+        :class:`~repro.errors.ValueParseError`.
+        """
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
         store = cls()
         truths: Dict[ItemKey, Dict[str, Value]] = {}
-        for entry in payload["truths"]:
-            truths[(entry["object"], entry["attribute"])] = {
-                method: _decode_value(text)
-                for method, text in entry["values"].items()
-            }
-        store._snapshot = StoreSnapshot(
-            version=int(payload["version"]),
-            day=payload.get("day"),
-            methods=tuple(payload["methods"]),
-            truths=truths,
-            trust={
-                method: dict(by_source)
-                for method, by_source in payload["trust"].items()
-            },
-        )
+        try:
+            for entry in payload["truths"]:
+                truths[(entry["object"], entry["attribute"])] = {
+                    method: _decode_value(text)
+                    for method, text in entry["values"].items()
+                }
+            store._snapshot = StoreSnapshot(
+                version=int(payload["version"]),
+                day=payload.get("day"),
+                methods=tuple(payload["methods"]),
+                truths=truths,
+                trust={
+                    method: dict(by_source)
+                    for method, by_source in payload["trust"].items()
+                },
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise ValueParseError(
+                f"malformed store payload: {type(error).__name__}: {error}"
+            ) from None
         return store
 
 

@@ -18,16 +18,16 @@ Every day is one solve per method over all of the day's claims: each
 source's trust and copy evidence come from every item it provides, as in
 the paper's methods, so the stream's answer is the snapshot path's answer.
 
-A runner never owns a worker pool.  Given a parallel
-:class:`~repro.parallel.SolveScheduler` (the experiment context's), it fans
-each day's methods out across it; otherwise they solve inline.
+Every solve runs inline, in the runner's process: days are sequential (a
+warm start needs day ``d-1`` before day ``d``), and fanning one day's
+methods out to workers measured slower than solving them in turn.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -42,13 +42,6 @@ from repro.errors import FusionError
 from repro.fusion.base import FusionMethod, FusionProblem, FusionResult
 from repro.fusion.registry import make_method
 from repro.fusion.spec import State, run_fixed_point
-
-if TYPE_CHECKING:
-    from repro.parallel import SolveScheduler
-
-#: One method's solve of a day, in :meth:`FusionMethod._package` argument
-#: order: final state, selection, round count, convergence flag, seconds.
-_Solve = Tuple[State, np.ndarray, int, bool, float]
 
 
 @dataclass
@@ -73,16 +66,6 @@ class StreamRunner:
     method converged to the day before (rebased onto the day's sources);
     without it every day is a cold start, bit-identical to
     ``make_method(name).run`` on the day's problem.
-
-    Given a parallel ``scheduler`` and at least two methods, the method
-    solves of each day run concurrently: the parent diff-compiles the day
-    once (days stay sequential — warm starts need day ``d-1`` before day
-    ``d``), registers the day's problem under the one ``"stream-day"`` key
-    (so runners sharing a scheduler replace each other's export rather than
-    stack them), and ships each worker its method's start trust.  Workers
-    return raw trust/selection arrays and the runner absorbs them exactly as
-    it absorbs an inline solve, so every number is identical to the inline
-    path.  The scheduler's owner closes it; the runner never does.
     """
 
     def __init__(
@@ -91,26 +74,19 @@ class StreamRunner:
         method_kwargs: Optional[Dict[str, dict]] = None,
         *,
         warm_start: bool = True,
-        scheduler: Optional[SolveScheduler] = None,
     ):
         self.method_names = list(method_names)
-        self.method_kwargs = {
-            name: dict((method_kwargs or {}).get(name, {}))
-            for name in self.method_names
-        }
         self.methods: Dict[str, FusionMethod] = {
-            name: make_method(name, **self.method_kwargs[name])
+            name: make_method(name, **(method_kwargs or {}).get(name, {}))
             for name in self.method_names
         }
         # The method instance is the single source of truth for whether it
         # runs copy detection (the registry's `copying` column is Table 6
         # rendering data).
-        self._with_copy = any(
+        self.compiler = SeriesCompiler(track_copy_structures=any(
             method.uses_copy_detection for method in self.methods.values()
-        )
-        self.compiler = SeriesCompiler(track_copy_structures=self._with_copy)
+        ))
         self.warm_start = warm_start
-        self.scheduler = scheduler
         self.steps: List[StreamStep] = []
         # What carries across days: each method's converged trust, over the
         # sources of the problem it was solved on.
@@ -136,20 +112,8 @@ class StreamRunner:
         problem = day.problem()
         compile_seconds = time.perf_counter() - started
         warmed = self.warm_start and self._problem is not None
-        scheduler = self.scheduler
-        if (
-            scheduler is None
-            or not scheduler.parallel
-            or len(self.method_names) < 2
-        ):
-            solves = {
-                name: self._solve_inline(name, problem, warmed)
-                for name in self.method_names
-            }
-        else:
-            solves = self._solve_on(scheduler, problem, warmed)
         results = {
-            name: self._absorb(name, day, problem, warmed, solves[name])
+            name: self._solve(name, day, problem, warmed)
             for name in self.method_names
         }
         self._sources = list(problem.sources)
@@ -198,9 +162,12 @@ class StreamRunner:
                 trust[j] = prev[i]
         return trust
 
-    def _solve_inline(
-        self, name: str, problem: FusionProblem, warmed: bool
-    ) -> _Solve:
+    def _solve(
+        self, name: str, day: DayCompilation, problem: FusionProblem,
+        warmed: bool,
+    ) -> FusionResult:
+        """Solve ``name`` on ``day``'s problem and carry its trust on."""
+        method = self.methods[name]
         started = time.perf_counter()
         state = self._start_state(name, problem, warmed)
         if (
@@ -212,56 +179,11 @@ class StreamRunner:
             # trust-shaped conv_delta in particular) fit today's solve
             # exactly — inherit them instead of reallocating the pool.
             problem.adopt_scratch(self._problem)
-        selected, rounds, converged = run_fixed_point(
-            self.methods[name], problem, state
+        selected, rounds, converged = run_fixed_point(method, problem, state)
+        result = method._package(
+            problem, state, selected, rounds, converged,
+            time.perf_counter() - started,
         )
-        return state, selected, rounds, converged, time.perf_counter() - started
-
-    def _solve_on(
-        self, scheduler: SolveScheduler, problem: FusionProblem, warmed: bool
-    ) -> Dict[str, _Solve]:
-        from repro.parallel import MethodCall, SolveJob
-
-        key = scheduler.register(
-            "stream-day", problem, with_copy=self._with_copy
-        )
-        jobs = [
-            SolveJob(
-                problem=key,
-                calls=[
-                    MethodCall(
-                        name,
-                        kwargs=self.method_kwargs[name],
-                        warm_trust=(
-                            self._start_state(name, problem, warmed)["trust"]
-                            if warmed else None
-                        ),
-                    )
-                ],
-                raw=True,
-            )
-            for name in self.method_names
-        ]
-        solves: Dict[str, _Solve] = {}
-        for name, outcome in zip(self.method_names, scheduler.run(jobs)):
-            call = outcome.calls[0]
-            solves[name] = (
-                {"trust": call.trust}, call.selected, call.rounds,
-                call.converged, call.runtime_seconds,
-            )
-        return solves
-
-    def _absorb(
-        self,
-        name: str,
-        day: DayCompilation,
-        problem: FusionProblem,
-        warmed: bool,
-        solve: _Solve,
-    ) -> FusionResult:
-        """Package one method's solve of ``day`` and carry its trust on."""
-        state = solve[0]
-        result = self.methods[name]._package(problem, *solve)
         result.extras["day"] = day.day
         result.extras["warm_started"] = warmed
         result.extras["compile"] = day.stats

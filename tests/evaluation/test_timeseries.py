@@ -65,9 +65,9 @@ class TestPrecisionOverTime:
         assert result["Vote"].precisions == []
 
     def test_session_engine_equals_cold_engine(self, flight_collection):
-        """The streamed Table 9 reproduces the from-scratch numbers exactly."""
+        """Table 9 reproduces each method's from-scratch numbers exactly."""
         names = ["Vote", "AccuPr", "AccuSimAttr", "AccuCopy"]
-        streamed = precision_over_time(
+        table9 = precision_over_time(
             flight_collection.series, flight_collection.gold_by_day, names,
         )
         for name in names:
@@ -76,16 +76,5 @@ class TestPrecisionOverTime:
                 result = make_method(name).run(FusionProblem(snapshot))
                 gold = flight_collection.gold_by_day[snapshot.day]
                 cold.append(evaluate(snapshot, gold, result).precision)
-            assert streamed[name].days == flight_collection.series.days
-            assert streamed[name].precisions == cold, name
-
-    def test_warm_start_produces_sane_series(self, flight_collection):
-        result = precision_over_time(
-            flight_collection.series,
-            flight_collection.gold_by_day,
-            ["AccuPr"],
-            warm_start=True,
-        )
-        series = result["AccuPr"]
-        assert len(series.precisions) == len(flight_collection.series)
-        assert all(0.0 <= p <= 1.0 for p in series.precisions)
+            assert table9[name].days == flight_collection.series.days
+            assert table9[name].precisions == cold, name

@@ -3,7 +3,7 @@
 The hard guarantees of the parallel engine: every registered method
 produces the serial selections and trust on ``WORKERS`` workers —
 bit-identical on the full problem, on a ``restrict_sources`` sweep and on
-streaming days (snapshots and deltas) — no shared-memory segments
+Table 9's daily snapshots — no shared-memory segments
 survive pool shutdown, even after a worker crash, and a paper reproduction
 starts exactly one pool.
 """
@@ -126,77 +126,58 @@ class TestParallelDeterminism:
                 serial.append(evaluate(sub, gold, result).recall)
             assert parallel[name].recalls == serial, name
 
-    @pytest.mark.parametrize("feed", ["snapshots", "deltas"])
-    def test_streaming_day_matches_serial(self, stock, scheduler, feed):
-        """Every number of a worker-solved stream day is the serial one,
-        and so is the store version it publishes."""
-        from repro.datagen import perturbed_claim_stream
-        from repro.serving import TruthStore
-        from repro.streaming import StreamRunner
+    def test_table9_days_match_serial(self, stock):
+        """Table 9 on workers is the serial Table 9, and its days replace
+        one another's export instead of stacking up."""
+        from repro.evaluation.timeseries import precision_over_time
 
-        methods = ["Vote", "AccuSim", "AccuCopy", "AccuSimAttr"]
-
-        def run(runner):
-            if feed == "snapshots":
-                return [runner.push(s) for s in list(stock.series)[:2]]
-            stream = perturbed_claim_stream(
-                stock.series.snapshots[0], 3, churn=0.02, seed=3
+        methods = ["Vote", "AccuSim", "AccuSimAttr", "AccuCopy"]
+        serial = precision_over_time(stock.series, stock.gold_by_day, methods)
+        with SolveScheduler(workers=WORKERS) as scheduler:
+            parallel = precision_over_time(
+                stock.series, stock.gold_by_day, methods, scheduler=scheduler
             )
-            return [runner.push(stream.base)] + [
-                runner.push_delta(delta) for delta in stream.deltas
-            ]
-
-        serial = run(StreamRunner(methods, warm_start=True))
-        steps = run(StreamRunner(methods, warm_start=True, scheduler=scheduler))
-        assert len(steps) == len(serial)
-        for reference, step in zip(serial, steps):
-            for name in methods:
-                a, b = reference.results[name], step.results[name]
-                label = (step.day, name)
-                assert b.selected == a.selected, label
-                assert b.trust == a.trust, label
-                assert b.attr_trust == a.attr_trust, label
-                assert b.rounds == a.rounds, label
-                assert b.extras["warm_started"] == a.extras["warm_started"]
-            stores = [TruthStore(), TruthStore()]
-            stores[0].publish_step(reference)
-            stores[1].publish_step(step)
-            assert stores[0].snapshot() == stores[1].snapshot(), step.day
+            assert len(scheduler._registrations) == 1
+        for name in methods:
+            assert parallel[name].days == serial[name].days, name
+            assert parallel[name].precisions == serial[name].precisions, name
+        assert serial["Vote"].days == stock.series.days
 
     def test_round_cap_reports_unconverged_on_every_path(self, stock):
         """A solve that hits ``max_rounds`` says so — ``converged is False``
-        and ``rounds == max_rounds`` — from ``run``, from a stream day solved
-        inline and from the same day solved on workers, with the same
-        numbers everywhere."""
+        and ``rounds == max_rounds`` — from ``run``, from stream days and
+        from workers, with the same numbers as ``run`` on a cold problem."""
         from repro.fusion.base import FusionProblem
         from repro.streaming import StreamRunner
 
         methods = ["PooledInvest", "Invest"]
         kwargs = {name: {"max_rounds": 3} for name in methods}
         days = list(stock.series)[:2]
-        inline = StreamRunner(methods, kwargs)
-        with SolveScheduler(workers=2) as two_workers:
-            fanned = StreamRunner(methods, kwargs, scheduler=two_workers)
-            steps = [(inline.push(day), fanned.push(day)) for day in days]
+        runner = StreamRunner(methods, kwargs)
+        steps = [runner.push(day) for day in days]
         cold = FusionProblem(days[0])
-        for name in methods:
+        with SolveScheduler(workers=2) as two_workers:
+            outcomes = solve_methods(
+                cold, methods, scheduler=two_workers, method_kwargs=kwargs
+            )
+        for name, outcome in zip(methods, outcomes):
             run = make_method(name, **kwargs[name]).run(cold)
-            results = [run] + [
-                step.results[name] for pair in steps for step in pair
-            ]
+            worker = outcome.result
+            results = [run, worker] + [step.results[name] for step in steps]
             if name == "PooledInvest":
                 for result in results:
                     assert result.converged is False
                     assert result.rounds == 3
-            # Cold first day: run == inline == worker.  Warm second day:
-            # inline == worker.
-            for a, b in [(run, results[1]), (results[1], results[2]),
-                         (results[3], results[4])]:
-                assert b.selected == a.selected, name
-                assert b.trust == a.trust, name
-                assert b.attr_trust == a.attr_trust, name
-                assert (b.rounds, b.converged) == (a.rounds, a.converged), name
-        assert steps[1][0].results["PooledInvest"].extras["warm_started"]
+            # A cold problem, a cold first stream day and a worker solve
+            # are one solve.
+            for other in (worker, steps[0].results[name]):
+                assert other.selected == run.selected, name
+                assert other.trust == run.trust, name
+                assert other.attr_trust == run.attr_trust, name
+                assert (other.rounds, other.converged) == (
+                    run.rounds, run.converged
+                ), name
+        assert steps[1].results["PooledInvest"].extras["warm_started"]
 
     def test_serial_fallback_is_the_same_code_path(self, problem):
         outcomes = solve_methods(problem, ["AccuPr"])
@@ -230,7 +211,7 @@ def _untimed(report):
 
 class TestOnePool:
     def test_reproduction_starts_one_pool(self, monkeypatch, capsys):
-        """Every experiment, Table 9's day streams included, solves on the
+        """Every experiment, Table 9's days included, solves on the
         context's one pool, and reports what the serial run reports."""
         import concurrent.futures
 

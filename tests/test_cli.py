@@ -153,6 +153,29 @@ class TestFuseSolverFlags:
             assert "rounds" not in captured.err  # no method solved
             assert captured.out == ""
 
+    def test_fuse_rejects_an_unwritable_output_before_solving(
+        self, claims_csv, tmp_path, capsys
+    ):
+        missing = tmp_path / "missing_dir" / "out.json"
+        assert main([
+            "fuse", str(claims_csv), "--method", "Vote", "-o", str(missing),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {missing}: ")
+        assert "does not exist" in captured.err
+        assert "rounds" not in captured.err  # no method solved
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["fuse", "stream", "serve"])
+    def test_max_rounds_below_one_is_rejected_when_parsed(
+        self, command, claims_csv, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(claims_csv), "--max-rounds", "0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --max-rounds: must be at least 1, got 0" in err
+
     def test_max_rounds_caps_iteration(self, claims_csv, tmp_path):
         output = tmp_path / "result.json"
         assert main([
@@ -276,6 +299,21 @@ class TestStreamCommand:
         out = capsys.readouterr().out
         assert "AccuPr" in out and "Vote" in out
 
+    def test_output_dir_that_is_a_file_is_rejected(
+        self, stream_dir, tmp_path, capsys
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main([
+            "stream", str(stream_dir), "--method", "Vote",
+            "--output-dir", str(taken),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: cannot create output directory {taken}: "
+        )
+        assert captured.out == ""  # no day streamed
+
     def test_empty_directory_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -353,6 +391,27 @@ class TestServeAndQuery:
         bad.write_text("{not json")
         assert main(["query", str(bad)]) == 2
         assert "cannot read store" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[]",
+            '{"version": 1, "methods": ["Vote"], "trust": {}, "truths": '
+            '[{"object": "o1", "attribute": "price", "values": ["f:1.0"]}]}',
+            '{"version": 1, "methods": ["Vote"], "trust": {}, "truths": '
+            '[{"object": "o1", "attribute": "price", "values": {"Vote": "zzz"}}]}',
+        ],
+        ids=["top-level-list", "values-list", "untagged-value"],
+    )
+    def test_malformed_store_payload_is_reported_cleanly(
+        self, payload, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        assert main(["query", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot read store {bad}: ")
+        assert main(["serve", str(bad), "--listen", "127.0.0.1:0"]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot read store {bad}: ")
 
     def test_query_trust_distinguishes_unknown_method(
         self, richer_csv, tmp_path, capsys

@@ -9,7 +9,12 @@ import pytest
 
 from repro.core.delta import ClaimDelta
 from repro.core.records import Claim, DataItem
-from repro.errors import FusionError, StalePublishError, StoreWriteError
+from repro.errors import (
+    FusionError,
+    StalePublishError,
+    StoreWriteError,
+    ValueParseError,
+)
 from repro.fusion.base import FusionResult
 from repro.fusion.registry import make_method
 from repro.serving import StoreWriter, TruthService, TruthStore
@@ -107,6 +112,25 @@ class TestTruthStoreBasics:
         assert loaded.lookup("o1", "price").value == 10.0
         assert loaded.lookup("o3", "gate").value == "A1"
         assert loaded.trust("s2") == 0.4
+
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            ([], "TypeError"),
+            ({"version": 1, "methods": ["Vote"], "trust": {}, "truths": [
+                {"object": "o1", "attribute": "price", "values": ["f:1.0"]},
+            ]}, "AttributeError"),
+            ({"version": 1, "methods": ["Vote"], "trust": {}, "truths": [
+                {"object": "o1", "attribute": "price", "values": {"Vote": "zzz"}},
+            ]}, "untagged value payload 'zzz'"),
+        ],
+        ids=["top-level-list", "values-list", "untagged-value"],
+    )
+    def test_load_rejects_a_malformed_payload(self, tmp_path, payload, reason):
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueParseError, match=reason):
+            TruthStore.load(path)
 
     def test_save_load_round_trip_unicode_and_numeric_values(self, tmp_path):
         """String values (incl. non-ASCII and number-shaped strings) and
