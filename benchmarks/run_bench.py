@@ -372,10 +372,8 @@ def bench_parallel(domain: str, scale: str, workers: int) -> Dict[str, object]:
 
     with SolveScheduler(workers=workers) as scheduler:
         # Warm the pool and the shared-memory export outside the timings
-        # (the scenario measures steady-state scheduling, not fork latency)
-        # — registered with copy structures so the 16-method plan's
-        # AccuCopy does not trigger a re-export inside the timed region.
-        scheduler.register(None, problem, gold=gold, with_copy=True)
+        # (the scenario measures steady-state scheduling, not fork latency).
+        scheduler.register(None, problem, gold=gold)
         solve_methods(problem, ["Vote"], scheduler=scheduler)
 
         parallel_s, parallel_curves = sweep(scheduler=scheduler)

@@ -73,6 +73,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seconds(text: str) -> float:
+    """An argparse ``type`` for durations: a finite number, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds >= 0, got {text}"
+        )
+    return value
+
+
 def _method_kwargs(args: argparse.Namespace) -> dict:
     """Solver flags shared by ``fuse``, ``stream`` and ``serve``."""
     kwargs = {}
@@ -234,7 +247,7 @@ def _stream_loop(args, directory, methods, runner, output_dir) -> int:
                     out = output_dir / f"{step.day}.{name}.json"
                     write_result_json(result, out)
                     print(f"wrote {out}", file=sys.stderr)
-    if not runner.steps:
+    if not runner.days:
         if seen:
             print(
                 f"no claims day in {directory} could be served",
@@ -244,7 +257,7 @@ def _stream_loop(args, directory, methods, runner, output_dir) -> int:
             print(f"no claim CSVs found in {directory}", file=sys.stderr)
         return 1
     print(
-        f"streamed {len(runner.steps)} day(s) x {len(methods)} method(s)",
+        f"streamed {len(runner.days)} day(s) x {len(methods)} method(s)",
         file=sys.stderr,
     )
     return 0
@@ -547,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cold-start trust every day instead of warm-starting")
     stream.add_argument("--follow", action="store_true",
                         help="keep polling the directory for new CSVs")
-    stream.add_argument("--poll-seconds", type=float, default=2.0,
+    stream.add_argument("--poll-seconds", type=_seconds, default=2.0,
                         help="polling interval with --follow (default 2s)")
     stream.add_argument("--max-polls", type=int, default=None,
                         help="stop --follow after this many idle polls")
@@ -584,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "front-end: /health /lookup /trust /ensemble "
                             "/dump /events); the listener starts before the "
                             "solves so publishes are visible live")
-    serve.add_argument("--listen-for", type=float, default=None,
+    serve.add_argument("--listen-for", type=_seconds, default=None,
                        metavar="SECONDS",
                        help="stop the HTTP listener after this many seconds "
                             "(default: serve until interrupted)")

@@ -173,9 +173,6 @@ class Dataset:
         claim = self._by_item.get(item, {}).get(source_id)
         return claim.value if claim is not None else None
 
-    def providers_of(self, item: DataItem) -> List[str]:
-        return list(self._by_item.get(item, {}))
-
     def spec(self, attribute: str) -> AttributeSpec:
         return self.attributes[attribute]
 

@@ -34,11 +34,13 @@ Two entry points produce a :class:`DayCompilation`:
   (pays one pass over the day's columnar view);
 * :meth:`SeriesCompiler.apply_delta` — apply an explicit
   :class:`ClaimDelta` (added/retracted claims, new sources) when the
-  upstream feed already knows what changed.  Sorted value ranks and the
-  pairwise copy-detection overlap counts are patched rather than
-  recomputed; both entry points take the day's Equation-(3) tolerances
-  from :func:`~repro.core.columnar.compute_tolerances` over the active
-  claims, the one median implementation.
+  upstream feed already knows what changed.  Sorted value ranks are
+  patched rather than recomputed; both entry points take the day's
+  Equation-(3) tolerances from
+  :func:`~repro.core.columnar.compute_tolerances` over the active claims,
+  the one median implementation.  Copy-detection overlap counts are not
+  kept here: :attr:`~repro.fusion.base.FusionProblem.copy_structures`
+  builds them on each day's problem when a copy-aware method first asks.
 """
 
 from __future__ import annotations
@@ -275,25 +277,6 @@ def splice_compiled(
     )
 
 
-def _pair_counts(
-    source_codes: np.ndarray, group_codes: np.ndarray, n_sources: int
-) -> np.ndarray:
-    """Dense (S, S) counts of groups two sources both participate in."""
-    import scipy.sparse as sp
-
-    if not len(source_codes):
-        return np.zeros((n_sources, n_sources), dtype=np.float64)
-    _, dense = np.unique(group_codes, return_inverse=True)
-    matrix = sp.csr_matrix(
-        (
-            np.ones(len(source_codes), dtype=np.float64),
-            (source_codes, dense),
-        ),
-        shape=(n_sources, int(dense.max()) + 1),
-    )
-    return (matrix @ matrix.T).toarray()
-
-
 @dataclass(frozen=True)
 class ClaimDelta:
     """An explicit day-over-day change set for :meth:`SeriesCompiler.apply_delta`.
@@ -330,9 +313,7 @@ class DayCompilation:
 
     ``view``/``compiled``/``claim_mask`` are exactly the inputs
     :meth:`repro.fusion.base.FusionProblem.from_compiled` expects;
-    :meth:`problem` builds (and caches) that problem, seeding the
-    selection-independent copy-detection counts when the compiler tracks
-    them.
+    :meth:`problem` builds (and caches) that problem.
     """
 
     day: str
@@ -343,7 +324,6 @@ class DayCompilation:
     sources: List[str]
     source_codes: np.ndarray
     stats: DayStats
-    pair_counts: Optional[Tuple[np.ndarray, np.ndarray]] = None
     _problem: Optional[object] = field(default=None, repr=False)
 
     def problem(self):
@@ -352,7 +332,7 @@ class DayCompilation:
             # Imported here: core stays importable without the fusion layer.
             from repro.fusion.base import FusionProblem
 
-            problem = FusionProblem.from_compiled(
+            self._problem = FusionProblem.from_compiled(
                 view=self.view,
                 compiled=self.compiled,
                 sources=list(self.sources),
@@ -360,19 +340,13 @@ class DayCompilation:
                 attr_tol=self.attr_tol,
                 claim_mask=self.claim_mask,
             )
-            if self.pair_counts is not None:
-                same, shared = self.pair_counts
-                problem.seed_copy_counts(same, shared)
-            self._problem = problem
         return self._problem
 
 
 class SeriesCompiler:
     """Incremental compiler for a stream of daily snapshots of one domain."""
 
-    def __init__(self, track_copy_structures: bool = False):
-        self.track_copy_structures = track_copy_structures
-
+    def __init__(self):
         self._attributes: Optional[AttributeTable] = None
         self._attr_names: List[str] = []
         self._attr_specs: List[object] = []
@@ -408,8 +382,6 @@ class SeriesCompiler:
 
         self._prev_tol: Optional[np.ndarray] = None
         self._prev_compiled: Optional[CompiledClusters] = None
-        self._same: Optional[np.ndarray] = None
-        self._shared: Optional[np.ndarray] = None
         self.days: List[str] = []
 
     # ------------------------------------------------------------- interning
@@ -844,9 +816,6 @@ class SeriesCompiler:
             partial = compile_clusters(view, attr_tol, partial_mask)
             compiled = splice_compiled(self._prev_compiled, partial, dirty)
 
-        if self.track_copy_structures:
-            self._update_pair_counts(full, compiled, dirty)
-
         source_codes = np.asarray(
             [self._source_code[s] for s in declared_sources], dtype=np.int64
         )
@@ -868,10 +837,6 @@ class SeriesCompiler:
             compacted=compacted,
             ingest_seconds=time.perf_counter() - started,
         )
-        pair_counts = None
-        if self.track_copy_structures:
-            idx = np.ix_(source_codes, source_codes)
-            pair_counts = (self._same[idx].copy(), self._shared[idx].copy())
         return DayCompilation(
             day=day,
             view=view,
@@ -881,46 +846,7 @@ class SeriesCompiler:
             sources=list(declared_sources),
             source_codes=source_codes,
             stats=stats,
-            pair_counts=pair_counts,
         )
-
-    # -------------------------------------------------- copy-detection counts
-    def _compiled_claim_items(self, compiled: CompiledClusters) -> np.ndarray:
-        """Union item code of every compiled claim."""
-        return compiled.item_index[compiled.cluster_item[compiled.claim_cluster]]
-
-    def _update_pair_counts(
-        self, full: bool, compiled: CompiledClusters, dirty: np.ndarray
-    ) -> None:
-        n = len(self._sources)
-        if self._same is None:
-            self._same = np.zeros((0, 0), dtype=np.float64)
-            self._shared = np.zeros((0, 0), dtype=np.float64)
-        if self._same.shape[0] < n:
-            grow = n - self._same.shape[0]
-            self._same = np.pad(self._same, ((0, grow), (0, grow)))
-            self._shared = np.pad(self._shared, ((0, grow), (0, grow)))
-
-        new_items = self._compiled_claim_items(compiled)
-        if full or self._prev_compiled is None:
-            self._same = _pair_counts(
-                compiled.claim_source, compiled.claim_cluster, n
-            )
-            self._shared = _pair_counts(compiled.claim_source, new_items, n)
-            return
-
-        prev = self._prev_compiled
-        prev_items = self._compiled_claim_items(prev)
-        prev_hit = dirty[prev_items]
-        new_hit = dirty[new_items]
-        self._same += _pair_counts(
-            compiled.claim_source[new_hit], compiled.claim_cluster[new_hit], n
-        ) - _pair_counts(
-            prev.claim_source[prev_hit], prev.claim_cluster[prev_hit], n
-        )
-        self._shared += _pair_counts(
-            compiled.claim_source[new_hit], new_items[new_hit], n
-        ) - _pair_counts(prev.claim_source[prev_hit], prev_items[prev_hit], n)
 
     # ------------------------------------------------------------- compaction
     def _maybe_compact(self) -> bool:

@@ -117,13 +117,6 @@ class GoldStandard:
             cached = self._columns = _GoldColumns(self.values)
         return cached
 
-    def restrict_to(self, items: Iterable[DataItem]) -> "GoldStandard":
-        wanted = set(items)
-        return GoldStandard(
-            domain=self.domain,
-            values={i: v for i, v in self.values.items() if i in wanted},
-        )
-
 
 def build_gold_standard(
     dataset: Dataset,

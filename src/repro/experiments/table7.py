@@ -62,10 +62,6 @@ class Table7Result:
                 return candidate
         raise KeyError((domain, method))
 
-    def best_without_trust(self, domain: str) -> Table7Row:
-        candidates = [r for r in self.rows if r.domain == domain]
-        return max(candidates, key=lambda r: r.precision_without_trust)
-
 
 def run(
     ctx: ExperimentContext,

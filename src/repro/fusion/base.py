@@ -221,7 +221,6 @@ class FusionProblem:
         self._sim: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._fmt: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._copy: Optional[CopyStructures] = None
-        self._copy_seed: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def cluster_rep(self) -> List[Value]:
@@ -423,24 +422,6 @@ class FusionProblem:
             bufs[key] = buf
         return buf
 
-    def adopt_scratch(self, donor: "FusionProblem") -> None:
-        """Inherit ``donor``'s scratch buffers instead of growing our own.
-
-        Warm streaming steps retire yesterday's problem the moment the new
-        day's is compiled; adopting its pool hands the solver's buffers
-        (``conv_delta``, the argmax scratch, ...) to the new problem so a
-        warm day with an unchanged source universe reallocates nothing.
-        Safe regardless of shape drift: :meth:`scratch` revalidates shape
-        and dtype on every call, so a stale buffer is simply replaced on
-        first use.  Buffers we already own are kept (they are in use).
-        """
-        bufs = donor.__dict__.get("_scratch_bufs")
-        if not bufs:
-            return
-        mine = self.__dict__.setdefault("_scratch_bufs", {})
-        for key, buf in bufs.items():
-            mine.setdefault(key, buf)
-
     def _invariant(self, key: str, build) -> np.ndarray:
         cache = self.__dict__.setdefault("_invariant_cache", {})
         value = cache.get(key)
@@ -547,31 +528,16 @@ class FusionProblem:
                 (ones, (self.claim_source, self.claim_cluster)),
                 shape=(self.n_sources, self.n_clusters),
             )
-            seed = getattr(self, "_copy_seed", None)  # legacy problems skip _init_from
-            if seed is not None:
-                same, shared = seed
-            else:
-                incidence = sp.csr_matrix(
-                    (ones, (self.claim_source, self.claim_item)),
-                    shape=(self.n_sources, self.n_items),
-                )
-                same = (membership @ membership.T).toarray()
-                shared = (incidence @ incidence.T).toarray()
+            incidence = sp.csr_matrix(
+                (ones, (self.claim_source, self.claim_item)),
+                shape=(self.n_sources, self.n_items),
+            )
             self._copy = CopyStructures(
-                membership=membership, same=same, shared=shared
+                membership=membership,
+                same=(membership @ membership.T).toarray(),
+                shared=(incidence @ incidence.T).toarray(),
             )
         return self._copy
-
-    def seed_copy_counts(self, same: np.ndarray, shared: np.ndarray) -> None:
-        """Provide incrementally-maintained pairwise overlap counts.
-
-        A :class:`repro.core.delta.SeriesCompiler` patches the ``same`` /
-        ``shared`` matrices day over day instead of recomputing the sparse
-        products; only the (cheap) membership CSR is rebuilt when copy
-        detection first runs on this problem.
-        """
-        self._copy_seed = (same, shared)
-        self._copy = None
 
 
 @dataclass(frozen=True)
@@ -613,8 +579,8 @@ class FusionMethod(abc.ABC):
     initial_trust: float = 0.8
     #: Whether trust is maintained per (source, attribute) pair.
     per_attribute_trust: bool = False
-    #: Whether the method runs copy detection (a stream then asks its
-    #: series compiler to maintain the pairwise overlap counts).
+    #: Whether the method runs copy detection (Figure 12's timing then
+    #: builds the problem's copy structures outside the timed solve).
     uses_copy_detection: bool = False
 
     def __init__(self, max_rounds: int = DEFAULT_MAX_ROUNDS,

@@ -67,10 +67,6 @@ class SchemaMatcher:
     def global_names(self) -> List[str]:
         return sorted(set(self._globals.values()))
 
-    @property
-    def num_locals(self) -> int:
-        return len(self._synonyms)
-
     def match_schema(self, local_names: Iterable[str]) -> Dict[str, Optional[str]]:
         """Resolve a whole local schema at once."""
         return {name: self.resolve(name) for name in local_names}

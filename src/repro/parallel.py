@@ -16,10 +16,13 @@ more than the solves.  This module is the layer in between:
   solve on them through the one solver path —
   :func:`~repro.fusion.spec.run_fixed_point`, alone or inside the
   restriction sweep of :mod:`repro.fusion.batch` — and results are
-  gathered in deterministic plan order.  With ``workers <= 1`` — or on
-  platforms without POSIX shared memory — the same job-execution code
-  runs inline, so serial and parallel schedules are bit-identical by
-  construction.
+  gathered in deterministic plan order.  Only the compiled arrays are
+  exported: an attached problem builds its copy-detection overlap counts
+  itself (:attr:`~repro.fusion.base.FusionProblem.copy_structures`), once,
+  the first time a copy-aware method solves on it.  With
+  ``workers <= 1`` — or on platforms without POSIX shared memory — the
+  same job-execution code runs inline, so serial and parallel schedules
+  are bit-identical by construction.
 * Two job shapes cover the consumers: method calls (Tables 7, 8 and 9: a
   cold fixed point each, returned as the trust array and the selected
   cluster indices, which :func:`solve_methods` packages into a
@@ -140,7 +143,6 @@ class ProblemDescriptor:
     bundle: BundleDescriptor
     sidecar: str
     has_mask: bool
-    has_copy: bool
 
 
 def _export_view(
@@ -175,7 +177,7 @@ def _export_view(
 
 def _export_problem(
     problem: FusionProblem, gold: Optional[GoldStandard], tmpdir: str,
-    key: str, generation: int, with_copy: bool,
+    key: str, generation: int,
 ) -> Tuple[ViewBundle, ProblemDescriptor]:
     """Export the problem's view, then its compiled arrays in the same segment."""
     view = problem._view
@@ -197,12 +199,6 @@ def _export_problem(
     has_mask = problem._claim_mask is not None
     if has_mask:
         arrays["claim_mask"] = problem._claim_mask
-    has_copy = False
-    if with_copy or problem._copy is not None or problem._copy_seed is not None:
-        structures = problem.copy_structures
-        arrays["copy_same"] = np.asarray(structures.same, dtype=np.float64)
-        arrays["copy_shared"] = np.asarray(structures.shared, dtype=np.float64)
-        has_copy = True
     bundle, sidecar = _export_view(
         view, gold, tmpdir, key, generation, arrays,
         {"problem_sources": list(problem.sources)},
@@ -213,7 +209,6 @@ def _export_problem(
         bundle=bundle.descriptor,
         sidecar=sidecar,
         has_mask=has_mask,
-        has_copy=has_copy,
     )
     return bundle, descriptor
 
@@ -249,8 +244,6 @@ class _AttachedProblem:
             attr_tol=arr["attr_tol"],
             claim_mask=arr.get("claim_mask"),
         )
-        if descriptor.has_copy:
-            self.problem.seed_copy_counts(arr["copy_same"], arr["copy_shared"])
         self.gold: Optional[GoldStandard] = None
         if payload["gold"] is not None:
             domain, values = payload["gold"]
@@ -415,16 +408,14 @@ class SolveScheduler:
         key: Optional[str],
         problem: FusionProblem,
         gold: Optional[GoldStandard] = None,
-        with_copy: bool = False,
     ) -> str:
         """Publish a compiled problem under ``key`` (idempotent per object).
 
         Re-registering a key with a *different* problem object replaces the
-        export (streaming reuses one key across days); re-registering the
+        export (Table 9 reuses one key across days); re-registering the
         same object is free — this is how shared compilations are deduped
-        across jobs and experiments.  Upgrades that change what workers can
-        see (a gold standard appearing, ``with_copy`` turning on for a
-        copy-aware plan) re-export in place.
+        across jobs and experiments.  A gold standard appearing for an
+        exported problem re-exports it in place.
         """
         if key is None:
             key = self.default_key(problem)
@@ -432,22 +423,23 @@ class SolveScheduler:
         if existing is not None and existing.problem is problem:
             if gold is not None and existing.gold is None:
                 existing.gold = gold
-            if self._parallel and existing.descriptor is not None:
-                has_copy = existing.descriptor.has_copy
-                needs_copy = with_copy and not has_copy
-                needs_gold = existing.gold is not None and not existing.exported_gold
-                if needs_copy or needs_gold:
-                    self._reexport(key, existing, with_copy or has_copy)
+            if (
+                self._parallel
+                and existing.descriptor is not None
+                and existing.gold is not None
+                and not existing.exported_gold
+            ):
+                self._reexport(key, existing)
             return key
         if not self._parallel:
             self._registrations[key] = _Registration(problem, gold)
             return key
         registration = _Registration(problem, gold)
         self._registrations[key] = registration
-        self._reexport(key, registration, with_copy, previous=existing)
+        self._reexport(key, registration, previous=existing)
         return key
 
-    def _reexport(self, key, registration, with_copy, previous=None):
+    def _reexport(self, key, registration, previous=None):
         if self._tmpdir is None:
             self._tmpdir = tempfile.mkdtemp(prefix="repro-sched-")
         generation = (
@@ -464,7 +456,7 @@ class SolveScheduler:
             registration.bundle.unlink()
         registration.bundle, registration.descriptor = _export_problem(
             registration.problem, registration.gold, self._tmpdir,
-            key, generation, with_copy,
+            key, generation,
         )
         registration.exported_gold = registration.gold is not None
 
@@ -509,13 +501,6 @@ def _normalize_calls(
     ]
 
 
-def _uses_copy_detection(calls: Sequence[MethodCall]) -> bool:
-    return any(
-        getattr(make_method(c.method, **c.kwargs), "uses_copy_detection", False)
-        for c in calls
-    )
-
-
 def solve_methods(
     problem: FusionProblem,
     calls: Sequence[Union[str, MethodCall]],
@@ -536,9 +521,7 @@ def solve_methods(
     """
     plan = _normalize_calls(calls, method_kwargs)
     sched = scheduler if scheduler is not None else SolveScheduler()
-    key = sched.register(
-        key, problem, gold=gold, with_copy=_uses_copy_detection(plan)
-    )
+    key = sched.register(key, problem, gold=gold)
     jobs = [SolveJob(problem=key, calls=[call]) for call in plan]
     outcomes = [outcome.calls[0] for outcome in sched.run(jobs)]
     for call, outcome in zip(plan, outcomes):
@@ -569,9 +552,7 @@ def solve_sweep(
     plan = _normalize_calls(calls)
     subset_lists = [list(s) for s in subsets]
     sched = scheduler if scheduler is not None else SolveScheduler()
-    key = sched.register(
-        key, problem, gold=gold, with_copy=_uses_copy_detection(plan)
-    )
+    key = sched.register(key, problem, gold=gold)
     if not sched.parallel or len(subset_lists) < 2:
         job = SolveJob(problem=key, calls=plan, subsets=subset_lists)
         return sched.run([job])[0].sweep

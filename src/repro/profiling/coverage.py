@@ -28,10 +28,6 @@ class AttributeCoverageProfile:
     num_sources: int
     num_local_attributes: int
 
-    @property
-    def num_global_attributes(self) -> int:
-        return len(self.providers_per_attribute)
-
     def fraction_above(self, threshold: int) -> float:
         """Fraction of attributes provided by more than ``threshold`` sources."""
         if not self.providers_per_attribute:

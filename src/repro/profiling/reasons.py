@@ -32,9 +32,6 @@ class ReasonBreakdown:
             return {}
         return {reason: count / total for reason, count in self.counts.items()}
 
-    def share_of(self, reason: ErrorReason) -> float:
-        return self.shares().get(reason, 0.0)
-
 
 def classify_item_reason(
     dataset: Dataset, item: DataItem

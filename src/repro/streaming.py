@@ -2,12 +2,13 @@
 
 One :class:`StreamRunner` owns a single :class:`~repro.core.delta.SeriesCompiler`
 and everything a stream carries from one day to the next: each method's
-converged trust, and the problem (and source list) it was solved on.  Each
+converged trust, and the source list it was solved over.  Each
 day is diff-compiled **once** and every method solves on the shared
 problem through the same :func:`~repro.fusion.spec.run_fixed_point` a
 one-shot :meth:`~repro.fusion.base.FusionMethod.run` drives, warm-started
-from the carried trust.  Copy-structure tracking is switched on
-automatically when any requested method runs copy detection.
+from the carried trust.  The runner keeps only that carried state and the
+day labels (:attr:`StreamRunner.days`); each :class:`StreamStep` belongs to
+the caller, so a long-running stream does not accumulate results.
 
 Feed it full snapshots (:meth:`StreamRunner.push`) or explicit
 :class:`~repro.core.delta.ClaimDelta` change sets (:meth:`StreamRunner.push_delta`);
@@ -80,19 +81,14 @@ class StreamRunner:
             name: make_method(name, **(method_kwargs or {}).get(name, {}))
             for name in self.method_names
         }
-        # The method instance is the single source of truth for whether it
-        # runs copy detection (the registry's `copying` column is Table 6
-        # rendering data).
-        self.compiler = SeriesCompiler(track_copy_structures=any(
-            method.uses_copy_detection for method in self.methods.values()
-        ))
+        self.compiler = SeriesCompiler()
         self.warm_start = warm_start
-        self.steps: List[StreamStep] = []
+        #: Labels of the days pushed so far, in order.
+        self.days: List[str] = []
         # What carries across days: each method's converged trust, over the
         # sources of the problem it was solved on.
         self._trust: Dict[str, np.ndarray] = {}
         self._sources: List[str] = []
-        self._problem: Optional[FusionProblem] = None
 
     # ---------------------------------------------------------------- stepping
     def push(self, dataset: Dataset) -> StreamStep:
@@ -111,14 +107,14 @@ class StreamRunner:
             raise FusionError(f"day {day.day!r} holds no active claims")
         problem = day.problem()
         compile_seconds = time.perf_counter() - started
-        warmed = self.warm_start and self._problem is not None
+        warmed = self.warm_start and bool(self.days)
         results = {
             name: self._solve(name, day, problem, warmed)
             for name in self.method_names
         }
         self._sources = list(problem.sources)
-        self._problem = problem
-        step = StreamStep(
+        self.days.append(day.day)
+        return StreamStep(
             day=day.day,
             results=results,
             stats=day.stats,
@@ -127,8 +123,6 @@ class StreamRunner:
                 name: result.runtime_seconds for name, result in results.items()
             },
         )
-        self.steps.append(step)
-        return step
 
     def _start_state(
         self, name: str, problem: FusionProblem, warmed: bool
@@ -170,15 +164,6 @@ class StreamRunner:
         method = self.methods[name]
         started = time.perf_counter()
         state = self._start_state(name, problem, warmed)
-        if (
-            warmed
-            and problem is not self._problem
-            and self._sources == problem.sources
-        ):
-            # Same source universe: yesterday's solver buffers (the
-            # trust-shaped conv_delta in particular) fit today's solve
-            # exactly — inherit them instead of reallocating the pool.
-            problem.adopt_scratch(self._problem)
         selected, rounds, converged = run_fixed_point(method, problem, state)
         result = method._package(
             problem, state, selected, rounds, converged,
@@ -189,7 +174,3 @@ class StreamRunner:
         result.extras["compile"] = day.stats
         self._trust[name] = state["trust"]
         return result
-
-    @property
-    def days(self) -> List[str]:
-        return [step.day for step in self.steps]

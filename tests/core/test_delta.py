@@ -326,30 +326,6 @@ class TestOneDayStream:
         )
 
 
-class TestCopyCountTracking:
-    def test_pair_counts_match_from_scratch(
-        self, flight_collection, monkeypatch
-    ):
-        """Incrementally patched same/shared == freshly computed products."""
-        monkeypatch.setattr(delta_mod, "FULL_COMPILE_THRESHOLD", 2.0)
-        compiler = SeriesCompiler(track_copy_structures=True)
-        for snapshot in flight_collection.series:
-            day = compiler.ingest(snapshot)
-            problem = day.problem()
-            seeded = problem.copy_structures
-            scratch = FusionProblem.from_compiled(
-                view=day.view,
-                compiled=day.compiled,
-                sources=day.sources,
-                source_codes=day.source_codes,
-                attr_tol=day.attr_tol,
-                claim_mask=day.claim_mask,
-            )
-            fresh = scratch.copy_structures
-            assert np.array_equal(seeded.same, fresh.same)
-            assert np.array_equal(seeded.shared, fresh.shared)
-
-
 class TestInsertScatter:
     """The batched allocation+scatter insert == the np.insert reference."""
 

@@ -290,8 +290,7 @@ class TestViewOnlyExport:
             assert stream.deltas[0].retracted
             assert not problem._claim_mask.all()
         bundle, descriptor = _export_problem(
-            problem, stock.gold, str(tmp_path), shape, 1,
-            with_copy=shape == "copy",
+            problem, stock.gold, str(tmp_path), shape, 1
         )
         try:
             attached = _AttachedProblem(descriptor)
@@ -310,7 +309,6 @@ class TestViewOnlyExport:
                 assert ours._view.values == problem._view.values
                 assert attached.gold.values == stock.gold.values
                 if shape == "copy":
-                    assert descriptor.has_copy
                     ours_copy = ours.copy_structures
                     base_copy = problem.copy_structures
                     assert np.array_equal(ours_copy.same, base_copy.same)

@@ -176,6 +176,33 @@ class TestFuseSolverFlags:
         err = capsys.readouterr().err
         assert "error: argument --max-rounds: must be at least 1, got 0" in err
 
+    def test_negative_poll_seconds_is_rejected_when_parsed(
+        self, claims_csv, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "stream", str(claims_csv.parent), "--follow",
+                "--poll-seconds", "-1", "--max-polls", "1",
+            ])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: argument --poll-seconds: must be a finite" in captured.err
+        assert captured.out == ""  # no day streamed
+
+    def test_negative_listen_for_is_rejected_when_parsed(
+        self, claims_csv, tmp_path, capsys
+    ):
+        store = tmp_path / "store.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve", str(claims_csv), "--store", str(store),
+                "--listen", "127.0.0.1:0", "--listen-for", "-1",
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --listen-for: must be a finite" in err
+        assert not store.exists()  # nothing solved or saved
+
     def test_max_rounds_caps_iteration(self, claims_csv, tmp_path):
         output = tmp_path / "result.json"
         assert main([
