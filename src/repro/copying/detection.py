@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from repro.fusion.base import FusionProblem
+from repro.fusion.base import FusionProblem, bit_rows, pair_counts
 
 #: Default prior probability that a random source pair is dependent.
 DEFAULT_PRIOR = 0.2
@@ -85,19 +85,19 @@ def _overlap_counts(
     selected: np.ndarray,
     near_true: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(kt, kf, kd) matrices over source pairs via sparse products.
+    """(kt, kf, kd) matrices over source pairs via popcounts.
 
-    The selection-independent structures (membership CSR, pairwise ``same``
-    and ``shared`` counts) are cached on the problem; only the
-    selection-dependent ``kt`` product runs per call.
+    The selection-independent structures (membership bitsets, pairwise
+    ``same`` and ``shared`` counts) are cached on the problem; only ``kt``
+    is counted per call, over the membership bits ANDed with the true
+    clusters' bits.
     """
     structures = problem.copy_structures
-    true_mask = np.zeros(problem.n_clusters, dtype=bool)
-    true_mask[selected] = True
+    true_clusters = selected
     if near_true is not None:
-        true_mask |= near_true
-    member_true = structures.membership[:, true_mask]
-    kt = (member_true @ member_true.T).toarray()
+        true_clusters = np.concatenate([selected, np.flatnonzero(near_true)])
+    true_bits = bit_rows(1, problem.n_clusters, 0, true_clusters)
+    kt = pair_counts(structures.cluster_bits & true_bits)
 
     kf = structures.same - kt
     kd = structures.shared - structures.same

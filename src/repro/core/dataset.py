@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.attributes import AttributeSpec, AttributeTable, ValueKind
+from repro.core.attributes import AttributeSpec, AttributeTable
 from repro.core.columnar import (
     ColumnarView,
     build_view,

@@ -3,7 +3,8 @@
 Runs every method on the report snapshot, recording wall-clock runtime and
 precision.  The paper's finding is the relative ordering: VOTE sub-second,
 most iterative methods ~10x slower, per-attribute variants slower still, and
-ACCUCOPY slowest (it runs pairwise copy detection every round).
+ACCUCOPY slowest (it reruns pairwise copy detection whenever the selection
+changes).
 """
 
 from __future__ import annotations

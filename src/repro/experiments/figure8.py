@@ -9,7 +9,7 @@ statistics exclude the airline sites (they are the gold standard).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.experiments.context import ExperimentContext
 from repro.experiments.report import format_series, format_table

@@ -9,7 +9,7 @@ copiers join; copy-aware and popularity-aware methods flatten out instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.evaluation.ordering import (
     RecallCurve,

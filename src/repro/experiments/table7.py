@@ -9,7 +9,7 @@ trustworthiness deviation/difference between the sampled and computed trust.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.evaluation.metrics import evaluate
 from repro.experiments.context import ExperimentContext

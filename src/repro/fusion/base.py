@@ -29,7 +29,7 @@ import abc
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -513,40 +513,73 @@ class FusionProblem:
     # -------------------------------------------------------- copy detection
     @property
     def copy_structures(self) -> "CopyStructures":
-        """Cached sparse incidence matrices for copy detection.
+        """Cached selection-independent structures for copy detection.
 
-        The source-cluster membership matrix and the pairwise ``same`` /
-        ``shared`` overlap counts do not depend on the current truth
-        selection, so AccuCopy's per-round detection reuses them instead of
-        rebuilding CSR matrices from the claim arrays every round.
+        The source-cluster membership (sparse, and packed into bitsets) and
+        the pairwise ``same`` / ``shared`` overlap counts do not depend on
+        the current truth selection, so AccuCopy's detections reuse them
+        instead of rebuilding them from the claim arrays every round.
         """
         if self._copy is None:
             import scipy.sparse as sp
 
-            ones = np.ones(self.n_claims)
             membership = sp.csr_matrix(
-                (ones, (self.claim_source, self.claim_cluster)),
+                (np.ones(self.n_claims), (self.claim_source, self.claim_cluster)),
                 shape=(self.n_sources, self.n_clusters),
             )
-            incidence = sp.csr_matrix(
-                (ones, (self.claim_source, self.claim_item)),
-                shape=(self.n_sources, self.n_items),
+            cluster_bits = bit_rows(
+                self.n_sources, self.n_clusters, self.claim_source, self.claim_cluster
+            )
+            item_bits = bit_rows(
+                self.n_sources, self.n_items, self.claim_source, self.claim_item
             )
             self._copy = CopyStructures(
                 membership=membership,
-                same=(membership @ membership.T).toarray(),
-                shared=(incidence @ incidence.T).toarray(),
+                cluster_bits=cluster_bits,
+                same=pair_counts(cluster_bits),
+                shared=pair_counts(item_bits),
             )
         return self._copy
 
 
 @dataclass(frozen=True)
 class CopyStructures:
-    """Selection-independent sparse structures shared by detection rounds."""
+    """Selection-independent structures shared by detection rounds."""
 
     membership: object  # (n_sources, n_clusters) CSR
+    cluster_bits: np.ndarray  # (S, ceil(n_clusters / 64)) uint64 membership bitsets
     same: np.ndarray    # (S, S) pairs' same-cluster claim counts
     shared: np.ndarray  # (S, S) pairs' shared-item counts
+
+
+#: Cap on the uint64 words one :func:`pair_counts` block ANDs at once (512 KB).
+PAIR_BLOCK_WORDS = 1 << 16
+
+
+def bit_rows(n_rows: int, n_bits: int, rows, cols) -> np.ndarray:
+    """``(n_rows, ceil(n_bits / 64))`` uint64 bitsets, bit ``cols[k]`` of
+    row ``rows[k]`` set (bit ``b`` lives in word ``b // 64``)."""
+    dense = np.zeros((n_rows, -(-n_bits // 64) * 64), dtype=bool)
+    dense[rows, cols] = True
+    return np.packbits(dense, axis=1, bitorder="little").view(np.uint64)
+
+
+def pair_counts(bits: np.ndarray) -> np.ndarray:
+    """``(n, n)`` float64 counts of the bits each pair of rows shares.
+
+    ``popcount(bits[i] & bits[j])`` summed over the words: the exact integer
+    product ``A @ A.T`` of the 0/1 matrix ``A`` packed in ``bits``.  A
+    :class:`~repro.core.dataset.Dataset` holds one claim per (source, item),
+    so copy detection's membership matrices are 0/1.  No BLAS product runs,
+    so no BLAS helper thread competes with solve workers or the server.
+    """
+    n, words = bits.shape
+    out = np.empty((n, n))
+    step = max(1, PAIR_BLOCK_WORDS // max(1, n * words))
+    for start in range(0, n, step):
+        block = bits[start:start + step, None, :] & bits[None, :, :]
+        out[start:start + step] = np.bitwise_count(block).sum(axis=2)
+    return out
 
 
 @dataclass

@@ -2,8 +2,10 @@
 
 ACCUCOPY augments ACCUFORMAT by weighting each source's vote by the
 probability that it provided the value *independently*: copy detection runs
-each round against the current selection (Dong et al. 2009), and a vote
-shared with likely copy partners is discounted.
+against the current selection (Dong et al. 2009), and a vote shared with
+likely copy partners is discounted.  Detection is a pure function of the
+selection, so a round whose selection equals the one last detected on
+keeps the previous independence weights.
 
 Two extra modes support the paper's experiments:
 
@@ -47,7 +49,6 @@ class AccuCopy(AccuFormat):
         known_groups: Optional[Sequence[Sequence[str]]] = None,
         similarity_aware_detection: bool = False,
         copy_probability: float = DEFAULT_COPY_PROB,
-        detection_interval: int = 1,
         agreement_gate: Optional[float] = None,
         **kwargs,
     ):
@@ -55,7 +56,6 @@ class AccuCopy(AccuFormat):
         self.known_groups = known_groups
         self.similarity_aware_detection = similarity_aware_detection
         self.copy_probability = copy_probability
-        self.detection_interval = max(1, detection_interval)
         #: None uses the detector default; 0 disables the gate (the raw
         #: Dong et al. behaviour, which false-positives on honest sources —
         #: the paper's Stock failure mode; see the copy-detection ablation).
@@ -63,9 +63,6 @@ class AccuCopy(AccuFormat):
 
     def _initial_state(self, problem: FusionProblem, trust_seed):
         state = super()._initial_state(problem, trust_seed)
-        # The round counter lives in the state dict (not on the method) so
-        # the instance stays stateless and shareable across solves.
-        state["round"] = 0
         if self.known_groups is not None:
             dependence = known_groups_matrix(problem, self.known_groups)
             state["independence"] = independence_weights(
@@ -95,8 +92,11 @@ class AccuCopy(AccuFormat):
 
     def _update_trust(self, problem, state, scores, selected) -> np.ndarray:
         new_trust = super()._update_trust(problem, state, scores, selected)
-        state["round"] = int(state.get("round", 0)) + 1
-        if self.known_groups is None and state["round"] % self.detection_interval == 0:
+        # The last detected selection lives in the state dict (not on the
+        # method) so the instance stays stateless and shareable across solves.
+        if self.known_groups is None and not np.array_equal(
+            selected, state.get("detected_on")
+        ):
             kwargs = {}
             if self.agreement_gate is not None:
                 kwargs["agreement_gate"] = self.agreement_gate
@@ -111,5 +111,5 @@ class AccuCopy(AccuFormat):
             state["independence"] = independence_weights(
                 problem, detection.probability, self.copy_probability
             )
-            state["last_detection"] = detection.probability
+            state["detected_on"] = selected
         return new_trust

@@ -13,7 +13,7 @@ validation slice turns it into a simple stacked ensemble.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dataset import Dataset
 from repro.core.records import DataItem, Value

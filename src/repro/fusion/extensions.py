@@ -25,11 +25,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.core.records import DataItem, Value
-from repro.fusion.base import (
-    FusionProblem,
-    accumulate_by_cluster,
-    softmax_per_item,
-)
+from repro.fusion.base import FusionProblem, accumulate_by_cluster
 from repro.fusion.bayesian import AccuSim, _TRUST_CLIP
 
 CategoryFn = Callable[[DataItem], str]

@@ -30,11 +30,12 @@ Engine contract
   enforced by ``tests/fusion/test_native_equivalence.py`` — is *equal
   selections*, trust within a small absolute tolerance, and round counts
   that may differ by the convergence threshold landing on a different side.
-* **Fallback methods.**  ``AccuCopy`` interleaves scipy-sparse copy
-  detection with the fixed point and has no native program; it (and any
-  subclass of a registered method, e.g. the per-category extension) simply
-  runs on the numpy engine.  :func:`solve` returns ``None`` and the caller
-  falls through — requesting ``engine="native"`` is always safe.
+* **Fallback methods.**  ``AccuCopy`` interleaves numpy copy detection
+  (popcount pair counts, scipy-sparse weights) with the fixed point and
+  has no native program; it (and any subclass of a registered method,
+  e.g. the per-category extension) simply runs on the numpy engine.
+  :func:`solve` returns ``None`` and the caller falls through — requesting
+  ``engine="native"`` is always safe.
 """
 
 from __future__ import annotations
@@ -878,7 +879,7 @@ def _registry():
         "AccuFormat": (AccuFormat, _build_accu),
         "AccuSimAttr": (AccuSimAttr, _build_accu),
         "AccuFormatAttr": (AccuFormatAttr, _build_accu),
-        # AccuCopy interleaves scipy-sparse copy detection: numpy fallback.
+        # AccuCopy interleaves numpy copy detection: numpy fallback.
     }
 
 

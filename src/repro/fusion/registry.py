@@ -7,7 +7,7 @@ paper's order so the experiment tables render identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from repro.errors import FusionError

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.gold import GoldStandard, claim_scores
-from repro.fusion.base import FusionProblem, FusionResult
+from repro.fusion.base import FusionResult
 
 
 @dataclass

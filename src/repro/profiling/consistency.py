@@ -14,9 +14,8 @@ source); Figure 4 reports the distributions binned as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core.attributes import ValueKind
 from repro.core.dataset import Dataset
 from repro.core.records import DataItem
 

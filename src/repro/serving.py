@@ -38,7 +38,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.records import DataItem, Value
+from repro.core.records import Value
 from repro.errors import (
     FusionError,
     StalePublishError,

@@ -67,8 +67,3 @@ class TestOnGeneratedData:
         robust = AccuCopy(similarity_aware_detection=True).run(stock_problem)
         score = evaluate(stock_snapshot, stock_gold, robust)
         assert score.precision > 0.5
-
-    def test_detection_interval(self, flight_problem):
-        sparse = AccuCopy(detection_interval=3)
-        result = sparse.run(flight_problem)
-        assert result.rounds >= 1
