@@ -13,11 +13,9 @@ Absolute timings (query latencies, wall-clock seconds) are reported but
 never gated: hosted runners are too noisy for them.
 
 ``--require KEY:MIN`` (repeatable) additionally asserts a hard floor on a
-current-summary key with no baseline counterpart — how the numba CI leg
-gates ``native_accu_solve_speedup_min`` without committing a baseline
-produced on a machine where numba cannot run.  ``--require-max KEY:MAX``
-is the mirror-image ceiling, for latency keys where *smaller* is better —
-how CI gates the serving scenario's ``serving_lookup_p99_ms`` (the bound
+current-summary key, which need not have a baseline counterpart.
+``--require-max KEY:MAX`` is the mirror-image ceiling, for latency keys
+where *smaller* is better — how CI gates the serving scenario's ``serving_lookup_p99_ms`` (the bound
 is deliberately generous: it catches a serve path collapsing into
 head-of-line blocking, not runner-to-runner jitter).
 
@@ -26,7 +24,6 @@ Usage::
     python benchmarks/check_regression.py \
         --baseline benchmarks/BENCH_small_baseline.json \
         --current BENCH_fusion.json --threshold 0.25 \
-        --require native_accu_solve_speedup_min:1.5 \
         --require-max serving_lookup_p99_ms:250
 """
 

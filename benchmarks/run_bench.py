@@ -54,7 +54,7 @@ from repro.copying.detection import (
 )
 from repro.evaluation.ordering import recall_as_sources_added, sources_by_recall
 from repro.experiments.context import get_context
-from repro.fusion.base import FusionProblem, resolve_engine
+from repro.fusion.base import FusionProblem
 from repro.fusion.legacy import (
     LegacyFusionProblem,
     legacy_detect_copying,
@@ -85,14 +85,6 @@ STREAM_CHURN = 0.003
 #: not need the last 1e-5 of trust precision; the bench cross-checks that
 #: cold selections at this tolerance match the exact engine's.
 STREAM_TOLERANCE = 1e-3
-#: Methods gated for the native-engine speedup summary: the ACCU/ATTR
-#: families, whose per-claim bayesian updates are what the fused numba
-#: programs target (AccuCopy has no native program — detection stays
-#: numpy — so it is absent here).
-NATIVE_GATE_METHODS = (
-    "AccuPr", "PopAccu", "AccuSim", "AccuFormat", "AccuSimAttr",
-    "AccuFormatAttr",
-)
 #: Methods profiled per kernel by ``--profile`` (one per kernel family).
 PROFILE_METHODS = ("Vote", "AccuPr", "PopAccu", "TruthFinder", "AccuSimAttr")
 
@@ -440,87 +432,51 @@ def _percentiles(samples_s: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def _profiled_solve(name: str, problem: FusionProblem, engine: str = "numpy"):
+def _profiled_solve(name: str, problem: FusionProblem):
     """One fixed-point solve through ``run_fixed_point`` with kernel timing.
 
     Bypasses ``FusionMethod.run`` so a :class:`KernelProfiler` can ride
-    along; returns ``(selected, rounds, seconds, kernel_report)``.
+    along; returns ``(rounds, seconds, kernel_report)``.
     """
     from repro.fusion.spec import KernelProfiler, run_fixed_point
 
-    method = make_method(name, engine=engine)
+    method = make_method(name)
     state = method._initial_state(problem, None)
     profiler = KernelProfiler()
     started = time.perf_counter()
-    selected, rounds, _converged = run_fixed_point(
+    _selected, rounds, _converged = run_fixed_point(
         method, problem, state, profiler=profiler
     )
-    return selected, rounds, time.perf_counter() - started, profiler.report()
+    return rounds, time.perf_counter() - started, profiler.report()
 
 
-def bench_engines(
-    domain: str, scale: str, engine: str, repeat: int
-) -> Dict[str, object]:
-    """Per-method solve timing with a per-kernel breakdown, per engine.
+def bench_engines(domain: str, scale: str, repeat: int) -> Dict[str, object]:
+    """Per-method solve timing with a per-kernel breakdown.
 
     Every registered method solves on a prebuilt problem through the shared
     fixed point with a :class:`KernelProfiler` attached, so the payload
     records where each round's time goes: votes / argmax / trust_update /
-    convergence for the numpy loop, the fused ``native_round`` plus the
-    one-time ``native_build`` for the native programs.  With ``--engine
-    native`` (and numba importable) a native leg runs after an untimed
-    warm-up solve — numba compiles on first call and caches on disk — and
-    each entry gains the numpy/native speedup and a selection cross-check.
-    Methods without a fused program record ``native_program: false``; their
-    native leg is the numpy loop reached through the fallback.
+    convergence, best of ``repeat``.
     """
-    from repro.fusion import native
-
     collection = get_context(scale).collection(domain)
     problem = FusionProblem(collection.snapshot)
-    native_leg = engine == "native" and native.available()
     per_method: Dict[str, object] = {}
     for name in BENCH_METHODS:
         _profiled_solve(name, problem)  # warm the lazy edges untimed
         best, best_kernels = float("inf"), {}
         for _ in range(repeat):
-            selected, rounds, elapsed, kernels = _profiled_solve(name, problem)
+            rounds, elapsed, kernels = _profiled_solve(name, problem)
             if elapsed < best:
                 best, best_kernels = elapsed, kernels
-        entry: Dict[str, object] = {
+        per_method[name] = {
             "rounds": rounds,
             "numpy_s": best,
             "kernels": {"numpy": best_kernels},
         }
-        if native_leg:
-            _profiled_solve(name, problem, engine="native")  # JIT warm-up
-            nat_best, nat_kernels = float("inf"), {}
-            for _ in range(repeat):
-                nat_sel, nat_rounds, elapsed, kernels = _profiled_solve(
-                    name, problem, engine="native"
-                )
-                if elapsed < nat_best:
-                    nat_best, nat_kernels = elapsed, kernels
-            entry["native_s"] = nat_best
-            entry["native_speedup"] = best / nat_best
-            entry["kernels"]["native"] = nat_kernels
-            entry["native_program"] = "native_round" in nat_kernels
-            entry["selections_equal"] = bool(
-                np.array_equal(selected, nat_sel) and rounds == nat_rounds
-            )
-        per_method[name] = entry
-    return {
-        "engine": engine,
-        "engine_effective": resolve_engine(engine),
-        "native_available": bool(native.available()),
-        "have_numba": bool(native.HAVE_NUMBA),
-        "methods": per_method,
-    }
+    return {"methods": per_method}
 
 
-def bench_profile(
-    scale: str, output: str, engine: str = "numpy"
-) -> Dict[str, object]:
+def bench_profile(scale: str, output: str) -> Dict[str, object]:
     """Dump cProfile stats for the fixed-point hot loop (``--profile``).
 
     Also returns the structured per-kernel breakdown (method -> kernel ->
@@ -547,7 +503,7 @@ def bench_profile(
     stats.print_stats("repro|reduceat|bincount|take", 15)
     kernels: Dict[str, object] = {}
     for name in PROFILE_METHODS:
-        *_, report = _profiled_solve(name, problem, engine=engine)
+        *_, report = _profiled_solve(name, problem)
         kernels[name] = report
     return kernels
 
@@ -771,18 +727,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="dump cProfile stats for the fixed-point hot "
                              "loop to BENCH_fixed_point.pstats and embed the "
                              "per-kernel breakdown into the JSON payload")
-    parser.add_argument("--engine", choices=("numpy", "native"),
-                        default="numpy",
-                        help="run the engines scenario's candidate leg on "
-                             "this engine (native needs numba; without it "
-                             "the payload records the fallback)")
     args = parser.parse_args(argv)
 
     profile_kernels = None
     if args.profile:
-        profile_kernels = bench_profile(
-            args.scale, "BENCH_fixed_point.pstats", args.engine
-        )
+        profile_kernels = bench_profile(args.scale, "BENCH_fixed_point.pstats")
 
     domains: Dict[str, object] = {}
     for domain in args.domains:
@@ -792,7 +741,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             domain, args.scale, args.repeat
         )
         domains[domain]["engines"] = bench_engines(
-            domain, args.scale, args.engine, args.repeat
+            domain, args.scale, args.repeat
         )
         if args.workers > 1:
             domains[domain]["parallel"] = bench_parallel(
@@ -813,33 +762,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             f" (selections equal: {streaming['selections_equal']})",
             flush=True,
         )
-        engines = domains[domain]["engines"]
-        if args.engine == "native":
-            if engines["native_available"]:
-                fused = [
-                    entry for entry in engines["methods"].values()
-                    if entry.get("native_program")
-                ]
-                fused_min = min(
-                    (entry["native_speedup"] for entry in fused),
-                    default=float("nan"),
-                )
-                equal = all(
-                    entry["selections_equal"]
-                    for entry in engines["methods"].values()
-                )
-                print(
-                    f"[bench] {domain}: native engine x{fused_min:.1f} min "
-                    f"over {len(fused)} fused methods "
-                    f"(selections equal: {equal})",
-                    flush=True,
-                )
-            else:
-                print(
-                    f"[bench] {domain}: native engine requested but numba "
-                    "is unavailable; engines scenario recorded numpy only",
-                    flush=True,
-                )
         if "parallel" in domains[domain]:
             par = domains[domain]["parallel"]
             print(
@@ -909,28 +831,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         summary["parallel_methods16_speedup_min"] = min(
             domains[d]["parallel"]["methods16"]["speedup"] for d in domains
         )
-    native_legs = [
-        domains[d]["engines"] for d in domains
-        if domains[d]["engines"]["engine"] == "native"
-        and domains[d]["engines"]["native_available"]
-    ]
-    if native_legs:
-        # Gated on the ACCU/ATTR families only — the fused programs the
-        # native engine exists for.  Keys appear only when native actually
-        # ran, so the no-numba bench never emits a fake ratio.
-        gate_speedups = [
-            leg["methods"][name]["native_speedup"]
-            for leg in native_legs
-            for name in NATIVE_GATE_METHODS
-            if leg["methods"][name].get("native_program")
-        ]
-        if gate_speedups:
-            summary["native_accu_solve_speedup_min"] = min(gate_speedups)
-        summary["native_selections_equal"] = all(
-            entry["selections_equal"]
-            for leg in native_legs
-            for entry in leg["methods"].values()
-        )
     summary["service_exact_equal"] = service["exact_equal"]
     summary["service_query_p99_us"] = service["queries"]["lookup"]["p99_us"]
     summary["serving_reads_equal"] = serving["reads_ok"]
@@ -942,8 +842,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     payload = {
         "scale": args.scale,
         "workers": args.workers,
-        "engine": args.engine,
-        "engine_effective": resolve_engine(args.engine),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),

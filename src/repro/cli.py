@@ -86,6 +86,19 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """An argparse ``type`` for thresholds: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}"
+        )
+    return value
+
+
 def _method_kwargs(args: argparse.Namespace) -> dict:
     """Solver flags shared by ``fuse``, ``stream`` and ``serve``."""
     kwargs = {}
@@ -93,8 +106,6 @@ def _method_kwargs(args: argparse.Namespace) -> dict:
         kwargs["max_rounds"] = args.max_rounds
     if getattr(args, "tolerance", None) is not None:
         kwargs["tolerance"] = args.tolerance
-    if getattr(args, "engine", None) is not None:
-        kwargs["engine"] = args.engine
     return kwargs
 
 
@@ -465,10 +476,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(f"cannot read store {args.store}: {error}", file=sys.stderr)
         return 2
     snap = store.snapshot()
+    if args.method is not None and args.method not in snap.methods:
+        print(f"method {args.method!r} is not published", file=sys.stderr)
+        return 1
     if args.trust:
-        if args.method is not None and args.method not in snap.methods:
-            print(f"method {args.method!r} is not published", file=sys.stderr)
-            return 1
         value = store.trust(args.trust, method=args.method, snapshot=snap)
         if value is None:
             print(f"unknown source {args.trust!r}", file=sys.stderr)
@@ -539,12 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "the method name is inserted before the suffix)")
     fuse.add_argument("--max-rounds", type=_positive_int, default=None,
                       help="cap on fixed-point rounds (method default: 60)")
-    fuse.add_argument("--tolerance", type=float, default=None,
+    fuse.add_argument("--tolerance", type=_positive_float, default=None,
                       help="L-inf trust convergence threshold (default 1e-5)")
-    fuse.add_argument("--engine", choices=("numpy", "native"), default=None,
-                      help="fixed-point execution engine (default: "
-                           "REPRO_ENGINE env var, then numpy; native needs "
-                           "numba and falls back to numpy with a warning)")
     fuse.set_defaults(func=_cmd_fuse)
 
     stream = sub.add_parser(
@@ -566,11 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stop --follow after this many idle polls")
     stream.add_argument("--max-rounds", type=_positive_int, default=None,
                         help="cap on fixed-point rounds (method default: 60)")
-    stream.add_argument("--tolerance", type=float, default=None,
+    stream.add_argument("--tolerance", type=_positive_float, default=None,
                         help="L-inf trust convergence threshold (default 1e-5)")
-    stream.add_argument("--engine", choices=("numpy", "native"), default=None,
-                        help="fixed-point execution engine (default: "
-                             "REPRO_ENGINE env var, then numpy)")
     stream.set_defaults(func=_cmd_stream)
 
     serve = sub.add_parser(
@@ -587,11 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output store path (default: truth_store.json)")
     serve.add_argument("--max-rounds", type=_positive_int, default=None,
                        help="cap on fixed-point rounds (method default: 60)")
-    serve.add_argument("--tolerance", type=float, default=None,
+    serve.add_argument("--tolerance", type=_positive_float, default=None,
                        help="L-inf trust convergence threshold (default 1e-5)")
-    serve.add_argument("--engine", choices=("numpy", "native"), default=None,
-                       help="fixed-point execution engine (default: "
-                            "REPRO_ENGINE env var, then numpy)")
     serve.add_argument("--listen", metavar="[HOST:]PORT", default=None,
                        help="also serve the store over HTTP (asyncio "
                             "front-end: /health /lookup /trust /ensemble "

@@ -26,7 +26,6 @@ Streams warm-start the same loop from carried trust
 from __future__ import annotations
 
 import abc
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -61,33 +60,14 @@ FORMAT_WEIGHT = 0.5
 #: read by profiling harnesses that report how often a run compiles.
 PROBLEM_COMPILES = 0
 
-#: The execution engines the fixed-point solver can run on.
-ENGINES = ("numpy", "native")
+def resolve_engine(_engine: Optional[str] = None) -> str:
+    """Always ``"numpy"``: the fixed point has one engine.
 
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Resolve an engine request against ``REPRO_ENGINE`` and availability.
-
-    An explicit ``engine`` argument (the CLI's ``--engine`` flag) wins over
-    the ``REPRO_ENGINE`` environment variable, which wins over the default
-    ``"numpy"``.  Requesting ``"native"`` without numba installed degrades
-    to ``"numpy"`` with a single warning per process — results are
-    identical, the native engine only changes how the rounds execute.
+    Kept only for the environment stamp of the end-to-end benchmark
+    (``perfbench/harness.py``), which records ``resolve_engine(None)`` on
+    every run.
     """
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE", "").strip() or "numpy"
-    engine = str(engine).strip().lower()
-    if engine not in ENGINES:
-        raise FusionError(
-            f"unknown execution engine {engine!r}; choose one of {ENGINES}"
-        )
-    if engine == "native":
-        from repro.fusion import native
-
-        if not native.available():
-            native.warn_unavailable()
-            engine = "numpy"
-    return engine
+    return "numpy"
 
 
 class FusionProblem:
@@ -617,11 +597,9 @@ class FusionMethod(abc.ABC):
     uses_copy_detection: bool = False
 
     def __init__(self, max_rounds: int = DEFAULT_MAX_ROUNDS,
-                 tolerance: float = DEFAULT_TOLERANCE,
-                 engine: Optional[str] = None):
+                 tolerance: float = DEFAULT_TOLERANCE):
         self.max_rounds = max_rounds
         self.tolerance = tolerance
-        self.engine = resolve_engine(engine)
 
     # ------------------------------------------------------------------ API
     def run(

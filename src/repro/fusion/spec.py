@@ -29,10 +29,9 @@ State = Dict[str, np.ndarray]
 class KernelProfiler:
     """Accumulates wall-clock per named solver phase (``--profile`` bench).
 
-    Passed into :func:`run_fixed_point`; the numpy loop attributes each
-    round to its four phases (votes / argmax / trust_update / convergence)
-    and the native engine reports its fused round and one-time program
-    build, so the numpy-vs-native win is attributable per primitive.
+    Passed into :func:`run_fixed_point`, which attributes each round to its
+    four phases (votes / argmax / trust_update / convergence), so a solve's
+    time is attributable per kernel.
     """
 
     __slots__ = ("seconds", "calls")
@@ -64,18 +63,7 @@ def run_fixed_point(
     Mutates ``state`` in place and returns ``(selected, rounds,
     converged)``.  Callers that warm-start overwrite ``state["trust"]``
     before calling.
-
-    With ``method.engine == "native"`` the round dispatches to the fused
-    numba program of :mod:`repro.fusion.native` when the method has one;
-    methods without a native program (and the freeze-trust mode, which is a
-    single vote pass) fall through to the numpy loop below.
     """
-    if method.engine == "native" and not freeze_trust:
-        from repro.fusion import native
-
-        outcome = native.solve(method, problem, state, profiler=profiler)
-        if outcome is not None:
-            return outcome
     rounds = 0
     converged = False
     selected = None

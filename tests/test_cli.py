@@ -6,12 +6,10 @@ import signal
 import socket
 import threading
 import time
-import warnings
 
 import pytest
 
 from repro.cli import main
-from repro.fusion import native
 from repro.io import ClaimsDayReader, write_claims_csv, write_gold_csv
 from repro.serving import TruthService, TruthStore
 
@@ -176,6 +174,29 @@ class TestFuseSolverFlags:
         err = capsys.readouterr().err
         assert "error: argument --max-rounds: must be at least 1, got 0" in err
 
+    @pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["fuse", "stream", "serve"])
+    def test_tolerance_outside_zero_to_inf_is_rejected_when_parsed(
+        self, command, tolerance, claims_csv, tmp_path, capsys
+    ):
+        # A non-positive or NaN threshold never converges (every solve runs
+        # to the round cap); an infinite one stops after the first round.
+        source = claims_csv.parent if command == "stream" else claims_csv
+        store = tmp_path / "store.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                command, str(source), f"--tolerance={tolerance}",
+                *(["--store", str(store)] if command == "serve" else []),
+            ])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert (
+            "error: argument --tolerance: must be a finite number > 0, "
+            f"got {tolerance}" in captured.err
+        )
+        assert captured.out == ""  # no method solved
+        assert not store.exists()
+
     def test_negative_poll_seconds_is_rejected_when_parsed(
         self, claims_csv, capsys
     ):
@@ -225,71 +246,6 @@ class TestFuseSolverFlags:
             json.loads(loose.read_text())["rounds"]
             <= json.loads(strict.read_text())["rounds"]
         )
-
-
-class TestEngineFlag:
-    """`--engine` / `REPRO_ENGINE` precedence and the no-numba fallback."""
-
-    def _fuse(self, claims_csv, tmp_path, extra, name):
-        output = tmp_path / name
-        assert main([
-            "fuse", str(claims_csv), "--method", "AccuPr",
-            "-o", str(output),
-        ] + extra) == 0
-        return json.loads(output.read_text())
-
-    def test_native_engine_matches_numpy(
-        self, claims_csv, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(native, "FORCE", True)
-        ref = self._fuse(claims_csv, tmp_path, ["--engine", "numpy"], "a.json")
-        nat = self._fuse(claims_csv, tmp_path, ["--engine", "native"], "b.json")
-        assert nat["selected"] == ref["selected"]
-        assert nat["rounds"] == ref["rounds"]
-        assert nat["converged"] == ref["converged"]
-
-    def test_native_without_numba_warns_once_and_falls_back(
-        self, claims_csv, tmp_path, monkeypatch
-    ):
-        if native.HAVE_NUMBA:
-            pytest.skip("numba installed: the fallback path is unreachable")
-        monkeypatch.setattr(native, "FORCE", False)
-        monkeypatch.setattr(native, "_WARNED", False)
-        with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
-            nat = self._fuse(
-                claims_csv, tmp_path, ["--engine", "native"], "nat.json"
-            )
-        ref = self._fuse(claims_csv, tmp_path, ["--engine", "numpy"], "np.json")
-        assert nat["selected"] == ref["selected"]
-        assert nat["trust"] == ref["trust"]
-        # One warning per process: a second native request stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            self._fuse(claims_csv, tmp_path, ["--engine", "native"], "c.json")
-
-    def test_env_var_engages_native_when_flag_absent(
-        self, claims_csv, tmp_path, monkeypatch
-    ):
-        if native.HAVE_NUMBA:
-            pytest.skip("numba installed: no fallback warning to observe")
-        monkeypatch.setenv("REPRO_ENGINE", "native")
-        monkeypatch.setattr(native, "FORCE", False)
-        monkeypatch.setattr(native, "_WARNED", False)
-        # The warning is the proof the env var reached engine resolution.
-        with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
-            self._fuse(claims_csv, tmp_path, [], "env.json")
-
-    def test_engine_flag_overrides_env_var(
-        self, claims_csv, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_ENGINE", "native")
-        monkeypatch.setattr(native, "FORCE", False)
-        monkeypatch.setattr(native, "_WARNED", False)
-        # --engine numpy never touches native resolution, so no fallback
-        # warning can fire even though the env var asks for native.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            self._fuse(claims_csv, tmp_path, ["--engine", "numpy"], "f.json")
 
 
 class TestStreamCommand:
@@ -449,6 +405,20 @@ class TestServeAndQuery:
             "query", str(store), "--trust", "s1", "--method", "Nope",
         ]) == 1
         assert "not published" in capsys.readouterr().err
+
+    def test_query_lookup_distinguishes_unknown_method(
+        self, richer_csv, tmp_path, capsys
+    ):
+        store = tmp_path / "store.json"
+        assert main(["serve", str(richer_csv), "--store", str(store)]) == 0
+        capsys.readouterr()
+        assert main([
+            "query", str(store), "--object", "o1", "--attribute", "price",
+            "--method", "Nope",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "method 'Nope' is not published" in err
+        assert "no truth for" not in err
 
     def test_serve_directory_versions_per_day(self, tmp_path, capsys):
         days = tmp_path / "days"
