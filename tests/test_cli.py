@@ -396,26 +396,18 @@ class TestServeAndQuery:
         assert main(["serve", str(bad), "--listen", "127.0.0.1:0"]) == 2
         assert capsys.readouterr().err.startswith(f"cannot read store {bad}: ")
 
-    def test_query_trust_distinguishes_unknown_method(
-        self, richer_csv, tmp_path, capsys
-    ):
-        store = tmp_path / "store.json"
-        assert main(["serve", str(richer_csv), "--store", str(store)]) == 0
-        assert main([
-            "query", str(store), "--trust", "s1", "--method", "Nope",
-        ]) == 1
-        assert "not published" in capsys.readouterr().err
-
-    def test_query_lookup_distinguishes_unknown_method(
-        self, richer_csv, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "read",
+        [["--trust", "s1"], ["--object", "o1", "--attribute", "price"]],
+        ids=["trust", "lookup"],
+    )
+    def test_query_distinguishes_unknown_method(
+        self, read, richer_csv, tmp_path, capsys
     ):
         store = tmp_path / "store.json"
         assert main(["serve", str(richer_csv), "--store", str(store)]) == 0
         capsys.readouterr()
-        assert main([
-            "query", str(store), "--object", "o1", "--attribute", "price",
-            "--method", "Nope",
-        ]) == 1
+        assert main(["query", str(store), *read, "--method", "Nope"]) == 1
         err = capsys.readouterr().err
         assert "method 'Nope' is not published" in err
         assert "no truth for" not in err
