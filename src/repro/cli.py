@@ -48,7 +48,9 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.errors import StalePublishError, StoreWriteError, ValueParseError
+from repro.errors import (
+    FusionError, StalePublishError, StoreWriteError, ValueParseError,
+)
 from repro.evaluation.metrics import evaluate
 from repro.fusion.base import FusionProblem
 from repro.fusion.registry import METHOD_NAMES
@@ -142,6 +144,9 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     except (OSError, ValueParseError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    if not dataset.num_claims:
+        print(f"error: {args.claims} holds no claims", file=sys.stderr)
+        return 2
     print(
         f"loaded {dataset.num_claims} claims from {dataset.num_sources} sources "
         f"({dataset.num_items} items)",
@@ -204,11 +209,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return _stream_loop(args, directory, methods, runner, output_dir)
 
 
-def _read_day(reader: ClaimsDayReader, path: Path):
-    """The day's snapshot or delta; ``None`` (with a warning) if malformed."""
+def _next_step(reader: ClaimsDayReader, path: Path, runner):
+    """The runner's step on the day in ``path``; ``None`` (with a warning)
+    if the file is malformed or its day cannot be fused, e.g. it holds no
+    claims.  The runner and the reader's diff base then stay on the last
+    day fused."""
     try:
-        return reader.read(path)
-    except ValueParseError as error:
+        return reader.push(reader.read(path), runner)
+    except (ValueParseError, FusionError) as error:
         print(f"warning: skipping {path.name}: {error}", file=sys.stderr)
         return None
 
@@ -240,10 +248,9 @@ def _stream_loop(args, directory, methods, runner, output_dir) -> int:
                     file=sys.stderr,
                 )
             seen.add(path.name)
-            day = _read_day(reader, path)
-            if day is None:
+            step = _next_step(reader, path, runner)
+            if step is None:
                 continue
-            step = reader.push(day, runner)
             stats = step.stats
             for name, result in step.results.items():
                 print(
@@ -435,10 +442,9 @@ def _serve_days(args, paths, methods, kwargs, store, writer, handle) -> None:
     )
     reader = ClaimsDayReader()
     for path in paths:
-        day = _read_day(reader, path)
-        if day is None:
+        step = _next_step(reader, path, service.runner)
+        if step is None:
             continue
-        step = reader.push(day, service.runner)
         try:
             version = store.publish_step(step)
         except StalePublishError as error:

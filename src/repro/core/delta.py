@@ -777,6 +777,11 @@ class SeriesCompiler:
         declared_sources: List[str],
         started: float,
     ) -> DayCompilation:
+        if not active.any():
+            # Refused before any day state moves, so the stream stays on
+            # its last good day; the mask keeps pace with a grown store.
+            self._active = old_active
+            raise FusionError(f"day {day!r} holds no active claims")
         changed = active != old_active
         n_added = int((active & ~old_active).sum())
         n_removed = int((~active & old_active).sum())

@@ -3,8 +3,12 @@
 Runs every method on one snapshot, recording wall-clock runtime and
 precision.  Absolute times are hardware-specific; the paper's finding is the
 *relative* ordering — VOTE sub-second, iterative methods an order of
-magnitude slower, per-attribute and copy-aware variants the slowest — which
-is asymptotic and survives the port.
+magnitude slower, per-attribute and copy-aware variants the slowest.  Here
+VOTE stays the fastest, but an iterative method's runtime follows mostly its
+number of rounds: at ``small`` scale the methods that hit the round cap
+(INVEST and POOLEDINVEST on Stock) are the slowest, and per-attribute
+variants that converge in a few rounds are among the fastest (see
+:mod:`repro.experiments.figure12`).
 """
 
 from __future__ import annotations

@@ -1,10 +1,17 @@
 """Figure 12 — fusion precision versus efficiency.
 
 Runs every method on the report snapshot, recording wall-clock runtime and
-precision.  The paper's finding is the relative ordering: VOTE sub-second,
-most iterative methods ~10x slower, per-attribute variants slower still, and
-ACCUCOPY slowest (it reruns pairwise copy detection whenever the selection
-changes).
+precision.  The paper's finding (``PAPER_REFERENCE``) is the relative
+ordering: VOTE sub-second, most iterative methods ~10x slower, per-attribute
+variants slower still, and ACCUCOPY slowest (it reruns pairwise copy
+detection whenever the selection changes).
+
+Measured here at ``small`` scale, VOTE is still the fastest and ACCUCOPY is
+slower than ACCUPR on both domains, but the rest of the paper's ordering does
+not hold.  On Stock, INVEST and POOLEDINVEST are the slowest because they run
+into the 60-round cap, and the per-attribute variants are among the fastest
+(ACCUFORMATATTR converges in 3 rounds); ACCUCOPY is the slowest only on
+Flight.
 """
 
 from __future__ import annotations

@@ -1,18 +1,17 @@
 """Token-auth middleware: reject unauthenticated requests at the front door.
 
-One static token guards every endpoint except an exempt list (``/health``
-by default, so load balancers can probe without credentials).  Clients
-present the token either as ``Authorization: Bearer <token>`` or as an
-``X-API-Token`` header; comparison is constant-time.  This is deliberately
-the simplest credential that still exercises the composition point — a
-richer scheme (key sets, scopes) slots in as another middleware without
-touching the server or the routes.
+One static token guards every endpoint except ``/health``, so load
+balancers can probe without credentials.  Clients present the token either
+as ``Authorization: Bearer <token>`` or as an ``X-API-Token`` header;
+comparison is constant-time.  This is deliberately the simplest credential
+that still exercises the composition point — a richer scheme (key sets,
+scopes) slots in as another middleware without touching the server or the
+routes.
 """
 
 from __future__ import annotations
 
 import hmac
-from typing import Sequence
 
 from repro.middleware import Handler, Middleware, Request, json_response
 
@@ -26,18 +25,14 @@ def _presented_token(request: Request) -> str:
     return request.headers.get("x-api-token", "")
 
 
-def token_auth(
-    token: str,
-    exempt: Sequence[str] = ("/health",),
-) -> Middleware:
-    """Require ``token`` on every request whose path is not in ``exempt``."""
+def token_auth(token: str) -> Middleware:
+    """Require ``token`` on every request but ``/health``."""
     if not token:
         raise ValueError("token_auth needs a non-empty token")
-    exempt_paths = frozenset(exempt)
 
     def middleware(handler: Handler) -> Handler:
         async def guarded(request: Request):
-            if request.path in exempt_paths:
+            if request.path == "/health":
                 return await handler(request)
             supplied = _presented_token(request)
             if not supplied or not hmac.compare_digest(supplied, token):

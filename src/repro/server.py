@@ -34,11 +34,10 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import AsyncIterator, Dict, Optional, Sequence
+from typing import AsyncIterator, Dict, Optional
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.middleware import (
-    Middleware,
     Request,
     Response,
     compose,
@@ -69,19 +68,13 @@ def _snapshot_info(snap: StoreSnapshot) -> Dict[str, object]:
     }
 
 
-def _jsonable(value: object) -> object:
-    """Store values are ``float | str`` — both are JSON-native."""
-    return value
-
-
 class TruthServer:
     """One store behind an asyncio HTTP server (see module docstring).
 
     The server owns no solver: publishers (any thread) push new versions
     into ``store`` and every in-flight request keeps answering from the
-    snapshot it pinned.  ``auth_token`` and ``log_stream`` are conveniences
-    that prepend the two shipped middlewares; ``middleware`` appends
-    arbitrary extra ones (outermost first).
+    snapshot it pinned.  ``log_stream`` and ``auth_token`` wrap the route
+    dispatch in the two shipped middlewares, logging outermost.
     """
 
     def __init__(
@@ -92,7 +85,6 @@ class TruthServer:
         *,
         auth_token: Optional[str] = None,
         log_stream=None,
-        middleware: Sequence[Middleware] = (),
     ):
         self.store = store
         self.host = host
@@ -113,7 +105,6 @@ class TruthServer:
             chain.append(request_logging(log_stream))
         if auth_token is not None:
             chain.append(token_auth(auth_token))
-        chain.extend(middleware)
         self._handler = compose(chain, self._dispatch)
         store.add_listener(self._on_publish)
 
@@ -190,7 +181,7 @@ class TruthServer:
             {
                 "object": answer.object_id,
                 "attribute": answer.attribute,
-                "value": _jsonable(answer.value),
+                "value": answer.value,
                 "method": answer.method,
                 "version": answer.version,
                 "day": answer.day,
@@ -240,17 +231,12 @@ class TruthServer:
                 if method is not None:
                     if method not in values:
                         continue
-                    payload_values = {method: _jsonable(values[method])}
-                else:
-                    payload_values = {
-                        name: _jsonable(value)
-                        for name, value in values.items()
-                    }
+                    values = {method: values[method]}
                 batch.append(json.dumps(
                     {
                         "object": object_id,
                         "attribute": attribute,
-                        "values": payload_values,
+                        "values": values,
                         "version": snap.version,
                     },
                     ensure_ascii=False,
@@ -420,11 +406,13 @@ class TruthServer:
                     continue
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
+            length = int(headers.get("content-length", 0) or 0)
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
         except ValueError:
             return None
         # GET requests should have no body; drain one if a client sent it so
         # the next keep-alive request starts at a message boundary.
-        length = int(headers.get("content-length", 0) or 0)
         if length:
             try:
                 await reader.readexactly(length)

@@ -39,7 +39,6 @@ from repro.core.delta import (
     DayStats,
     SeriesCompiler,
 )
-from repro.errors import FusionError
 from repro.fusion.base import FusionMethod, FusionProblem, FusionResult
 from repro.fusion.registry import make_method
 from repro.fusion.spec import State, run_fixed_point
@@ -103,8 +102,6 @@ class StreamRunner:
 
     def _step(self, day: DayCompilation, started: float) -> StreamStep:
         """Solve every method on one compiled day."""
-        if not day.stats.n_active_claims:
-            raise FusionError(f"day {day.day!r} holds no active claims")
         problem = day.problem()
         compile_seconds = time.perf_counter() - started
         warmed = self.warm_start and bool(self.days)

@@ -18,7 +18,9 @@ import repro.io
 from repro.cli import main
 from repro.core.dataset import Dataset
 from repro.datagen.streams import perturbed_claim_stream
-from repro.errors import SchemaError, StalePublishError, ValueParseError
+from repro.errors import FusionError, SchemaError, ValueParseError
+from repro.fusion.base import FusionProblem
+from repro.fusion.registry import make_method
 from repro.io import ClaimsDayReader, read_claims_csv, write_claims_csv
 from repro.serving import StoreWriter, TruthService, TruthStore
 from repro.streaming import StreamRunner
@@ -85,7 +87,7 @@ def _reference(days, methods, monotonic=False):
             continue
         try:
             service.ingest(dataset)
-        except StalePublishError:
+        except FusionError:  # a stale day, or one without claims
             continue
     return seen
 
@@ -516,3 +518,48 @@ def test_file_rewritten_after_its_snapshot_read_is_not_diffed(tmp_path):
     )
     day = reader.read(days / "01.csv")
     assert day.delta is None and day.dataset is not None
+
+
+# ------------------------------------------------------------ an empty day
+@pytest.fixture()
+def empty_day(flight_snapshot, tmp_path):
+    """00 is the flight day, 01 its header alone, 02 its claims relabelled."""
+    days = _write_days(tmp_path / "days", [flight_snapshot])
+    text = (days / "00.csv").read_bytes()
+    label = b",day," + flight_snapshot.day.encode()
+    end = text.index(b"\n", text.index(b"\nsource,object,") + 1) + 1
+    (days / "01.csv").write_bytes(text[:end].replace(label, label + b"e", 1))
+    (days / "02.csv").write_bytes(text.replace(label, label + b"f", 1))
+    return days
+
+
+def test_empty_day_leaves_the_runner_on_the_last_good_day(empty_day):
+    paths = sorted(empty_day.glob("*.csv"))
+    reader = ClaimsDayReader()
+    runner = StreamRunner(list(METHODS), warm_start=False)
+    reader.push(reader.read(paths[0]), runner)
+    with pytest.raises(FusionError, match="holds no active claims"):
+        reader.push(reader.read(paths[1]), runner)
+    third = reader.read(paths[2])
+    assert third.delta is not None  # diffed against the first day
+    step = reader.push(third, runner)
+    assert len(runner.days) == 2
+    problem = FusionProblem(read_claims_csv(paths[2]))
+    for name, result in step.results.items():
+        assert result.selected == make_method(name).run(problem).selected, name
+
+
+def test_cli_skips_or_refuses_an_empty_day(
+    empty_day, tmp_path, published, capsys
+):
+    assert _serve(empty_day, tmp_path, METHODS) == 0
+    assert "warning: skipping 01.csv" in capsys.readouterr().err
+    want = _reference(empty_day, METHODS)
+    _assert_same_versions(published, want)
+    assert [snap.version for snap in published] == [1, 2]
+    assert TruthStore.load(tmp_path / "store.json").snapshot() == want[-1]
+    assert main(["stream", str(empty_day), *_method_args(METHODS)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: skipping 01.csv" in err and "streamed 2 day(s)" in err
+    assert main(["fuse", str(empty_day / "01.csv")]) == 2
+    assert "holds no claims" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 """The asyncio HTTP front-end: routes, middleware, streams, live publishes."""
 
+import asyncio
 import http.client
 import io
 import json
+import logging
 import socket
 import threading
 import time
@@ -126,6 +128,22 @@ class TestEndpoints:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_malformed_content_length_closes_quietly(
+        self, server, caplog, length
+    ):
+        """Dropped like any malformed head: no reply and no traceback."""
+        caplog.set_level(logging.DEBUG, logger="asyncio")
+        with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+            sock.sendall(
+                b"GET /health HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n"
+            )
+            assert sock.recv(4096) == b""
+        status, _, _ = _get(server.port, "/health")
+        assert status == 200
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_keep_alive_reuses_one_connection(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
         try:
@@ -179,8 +197,11 @@ class TestMiddleware:
         assert lines[0]["duration_ms"] >= 0
         assert lines[1]["status"] == 404
 
-    def test_custom_middleware_composes_outermost_first(self, store):
+    def test_compose_unit(self):
         seen = []
+
+        async def handler(request):
+            return json_response({"ok": True})
 
         def tag(label):
             def middleware(handler):
@@ -194,32 +215,10 @@ class TestMiddleware:
 
             return middleware
 
-        with run_in_thread(
-            store, middleware=[tag("outer"), tag("inner")]
-        ) as handle:
-            status, _, headers = _get(handle.port, "/health")
-        assert status == 200
-        assert seen == ["outer", "inner"]
-        assert headers["X-outer"] == "1" and headers["X-inner"] == "1"
-
-    def test_compose_unit(self):
-        async def handler(request):
-            return json_response({"ok": True})
-
-        def add_header(handler):
-            async def wrapped(request):
-                response = await handler(request)
-                response.headers["X-Tagged"] = "1"
-                return response
-
-            return wrapped
-
-        import asyncio
-
-        response = asyncio.run(
-            compose([add_header], handler)(Request(method="GET", path="/x"))
-        )
-        assert response.headers["X-Tagged"] == "1"
+        chain = compose([tag("outer"), tag("inner")], handler)
+        response = asyncio.run(chain(Request(method="GET", path="/x")))
+        assert seen == ["outer", "inner"]  # outermost first
+        assert response.headers["X-outer"] == response.headers["X-inner"] == "1"
 
 
 class TestStreaming:
