@@ -24,8 +24,11 @@ Times the four rebuilt layers on both generated domains —
   torn/failed-read count that must stay zero —
 
 and writes the measurements to ``BENCH_fusion.json`` so the perf trajectory
-accumulates across PRs.  The sweep also cross-checks that both paths produce
-identical recall curves (the selections are equivalent by construction; see
+accumulates across PRs.  The gated compile, figure9 and streaming speedups
+are ratios of best-of-``--repeat`` timings taken in turn (old path, new
+path, old path, ...), so a drift in host speed falls on both sides.  The
+sweep also cross-checks that both paths produce identical recall curves
+(the selections are equivalent by construction; see
 ``tests/fusion/test_vectorized_equivalence.py``).
 
 Usage::
@@ -43,7 +46,7 @@ import os
 import platform
 import sys
 import time
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -90,11 +93,30 @@ PROFILE_METHODS = ("Vote", "AccuPr", "PopAccu", "TruthFinder", "AccuSimAttr")
 
 
 def _best_of(repeat: int, fn: Callable[[], object]) -> float:
-    best = float("inf")
-    for _ in range(repeat):
+    return _best_of_in_turn(repeat, _timed(fn))[0]
+
+
+def _timed(fn: Callable[[], object]) -> Callable[[], float]:
+    """``fn`` as a path for :func:`_best_of_in_turn`: one call, its wall
+    seconds."""
+    def run() -> float:
         started = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - started)
+        return time.perf_counter() - started
+    return run
+
+
+def _best_of_in_turn(repeat: int, *paths: Callable[[], float]) -> List[float]:
+    """Best of ``repeat`` runs of each path, the paths run in turn.
+
+    Each path returns the seconds it measured.  A speedup is the ratio of
+    two bests; run in turn, a slow phase of the host lands on every path,
+    so the ratio measures the paths and not the host.
+    """
+    best = [float("inf")] * len(paths)
+    for _ in range(repeat):
+        for index, path in enumerate(paths):
+            best[index] = min(best[index], path())
     return best
 
 
@@ -115,8 +137,6 @@ def bench_domain(domain: str, scale: str, repeat: int) -> Dict[str, object]:
     # ------------------------------------------------------------- compile
     # LegacyFusionProblem bypasses the dataset caches, so it is always a
     # cold, from-the-dicts compile (what the seed paid for each snapshot).
-    legacy_s = _best_of(repeat, lambda: LegacyFusionProblem(snapshot))
-
     def cold_compile():
         _clear_dataset_caches(snapshot)
         return FusionProblem(snapshot)
@@ -128,10 +148,15 @@ def bench_domain(domain: str, scale: str, repeat: int) -> Dict[str, object]:
     # Cold: first compile of a snapshot (columnar view + tolerances +
     # clustering kernel).  Warm: every later problem compiled from the same
     # snapshot — the per-problem cost sweeps and method comparisons pay.
-    cold_s = _best_of(repeat, cold_compile)
+    # The warm path runs right after the cold one, which leaves the
+    # snapshot caches filled.
+    legacy_s, cold_s, warm_s = _best_of_in_turn(
+        repeat,
+        _timed(lambda: LegacyFusionProblem(snapshot)),
+        _timed(cold_compile),
+        _timed(lambda: FusionProblem(snapshot)),
+    )
     view_s = _best_of(repeat, build_view_only)
-    FusionProblem(snapshot)  # ensure the snapshot caches are warm
-    warm_s = _best_of(repeat, lambda: FusionProblem(snapshot))
     report["compile"] = {
         "legacy_s": legacy_s,
         "vectorized_cold_s": cold_s,
@@ -210,26 +235,24 @@ def bench_domain(domain: str, scale: str, repeat: int) -> Dict[str, object]:
     prefix_sizes = sorted(
         set(list(range(1, min(12, n) + 1)) + list(range(12, n + 1, 4)) + [n])
     )
-    started = time.perf_counter()
-    legacy_curves = legacy_recall_as_sources_added(
-        snapshot, gold, SWEEP_METHODS, order, prefix_sizes
-    )
-    old_s = time.perf_counter() - started
+    curves = {}
+
+    def legacy_sweep():
+        curves["legacy"] = legacy_recall_as_sources_added(
+            snapshot, gold, SWEEP_METHODS, order, prefix_sizes
+        )
 
     def new_sweep():
-        return recall_as_sources_added(
+        curves["new"] = recall_as_sources_added(
             snapshot, gold, SWEEP_METHODS, ordering=order,
             prefix_sizes=prefix_sizes, problem=problem,
         )
 
-    started = time.perf_counter()
-    new_curves = new_sweep()
-    new_s = time.perf_counter() - started
-    # The ratio keeps its single timed run; the absolute figure is the
-    # best of ``repeat`` runs, counting that first one.
-    best_s = min(new_s, _best_of(repeat - 1, new_sweep))
+    old_s, new_s = _best_of_in_turn(
+        repeat, _timed(legacy_sweep), _timed(new_sweep)
+    )
     curves_equal = all(
-        legacy_curves[name] == new_curves[name].recalls
+        curves["legacy"][name] == curves["new"][name].recalls
         for name in SWEEP_METHODS
     )
     report["figure9_sweep"] = {
@@ -237,7 +260,6 @@ def bench_domain(domain: str, scale: str, repeat: int) -> Dict[str, object]:
         "prefix_sizes": len(prefix_sizes),
         "legacy_s": old_s,
         "vectorized_s": new_s,
-        "best_s": best_s,
         "speedup": old_s / new_s,
         "curves_equal": curves_equal,
     }
@@ -256,9 +278,9 @@ def bench_streaming(domain: str, scale: str, repeat: int) -> Dict[str, object]:
     per day plus warm-started solves.  Both run at ``STREAM_TOLERANCE``;
     per-day selections of a cold-started runner are also checked against
     the cold path's (``selections_equal`` — the delta-compilation
-    equivalence).  The warm stream runs ``repeat`` times from scratch:
-    ``warm_per_day_s`` (and the speedup) come from the first pass,
-    ``warm_per_day_best_s`` is the best pass's mean.
+    equivalence).  The two paths run in turn, ``repeat`` passes each,
+    the warm stream from scratch every time; ``cold_per_day_s`` and
+    ``warm_per_day_s`` (and the speedup) are the best pass's mean.
     """
     from repro.datagen import perturbed_claim_stream
     from repro.streaming import StreamRunner
@@ -274,53 +296,55 @@ def bench_streaming(domain: str, scale: str, repeat: int) -> Dict[str, object]:
     }
 
     # ---- cold: per-day recompile from the claim dicts + cold solves
-    cold_times, cold_rounds, cold_selections = [], [], []
-    for snapshot in stream.snapshots:
-        _clear_dataset_caches(snapshot)
-        started = time.perf_counter()
-        problem = FusionProblem(snapshot)
-        day_sel, rounds = {}, 0
-        for name in STREAM_METHODS:
-            result = make_method(name, **method_kwargs[name]).run(problem)
-            day_sel[name] = result.selected
-            rounds += result.rounds
-        cold_times.append(time.perf_counter() - started)
-        cold_rounds.append(rounds)
-        cold_selections.append(day_sel)
+    cold: Dict[str, list] = {}
+
+    def cold_pass() -> float:
+        times, cold["rounds"], cold["selections"] = [], [], []
+        for snapshot in stream.snapshots:
+            _clear_dataset_caches(snapshot)
+            started = time.perf_counter()
+            problem = FusionProblem(snapshot)
+            day_sel, rounds = {}, 0
+            for name in STREAM_METHODS:
+                result = make_method(name, **method_kwargs[name]).run(problem)
+                day_sel[name] = result.selected
+                rounds += result.rounds
+            times.append(time.perf_counter() - started)
+            cold["rounds"].append(rounds)
+            cold["selections"].append(day_sel)
+        return float(np.mean(times))
 
     # ---- warm: shared delta compilation + warm-started solves
-    def warm_stream():
+    warm: Dict[str, object] = {"first_day_s": float("inf")}
+
+    def warm_pass() -> float:
         runner = StreamRunner(STREAM_METHODS, method_kwargs, warm_start=True)
         started = time.perf_counter()
         runner.push(stream.base)
-        first_day_s = time.perf_counter() - started
-        times, day_rounds = [], []
+        warm["first_day_s"] = min(
+            warm["first_day_s"], time.perf_counter() - started
+        )
+        times, warm["rounds"] = [], []
         for delta in stream.deltas:
             started = time.perf_counter()
             step = runner.push_delta(delta)
-            day_rounds.append(
+            warm["rounds"].append(
                 sum(result.rounds for result in step.results.values())
             )
             times.append(time.perf_counter() - started)
-        return first_day_s, times, day_rounds
+        return float(np.mean(times))
 
-    first_day_s, warm_times, warm_rounds = warm_stream()
-    warm_best_s = min(
-        [float(np.mean(warm_times))]
-        + [float(np.mean(warm_stream()[1])) for _ in range(repeat - 1)]
-    )
+    cold_s, warm_s = _best_of_in_turn(repeat, cold_pass, warm_pass)
 
     # ---- equivalence: a cold-started runner == from-scratch per day
     exact = StreamRunner(STREAM_METHODS, method_kwargs, warm_start=False)
     exact.push(stream.base)
     selections_equal = True
-    for delta, day_sel in zip(stream.deltas, cold_selections):
+    for delta, day_sel in zip(stream.deltas, cold["selections"]):
         results = exact.push_delta(delta).results
         if any(results[name].selected != day_sel[name] for name in STREAM_METHODS):
             selections_equal = False
 
-    cold_s = float(np.mean(cold_times))
-    warm_s = float(np.mean(warm_times))
     return {
         "methods": list(STREAM_METHODS),
         "delta_days": STREAM_DAYS,
@@ -328,11 +352,10 @@ def bench_streaming(domain: str, scale: str, repeat: int) -> Dict[str, object]:
         "tolerance": STREAM_TOLERANCE,
         "cold_per_day_s": cold_s,
         "warm_per_day_s": warm_s,
-        "warm_per_day_best_s": warm_best_s,
         "speedup": cold_s / warm_s,
-        "cold_rounds_per_day": float(np.mean(cold_rounds)),
-        "warm_rounds_per_day": float(np.mean(warm_rounds)),
-        "first_day_ingest_s": first_day_s,
+        "cold_rounds_per_day": float(np.mean(cold["rounds"])),
+        "warm_rounds_per_day": float(np.mean(warm["rounds"])),
+        "first_day_ingest_s": warm["first_day_s"],
         "selections_equal": selections_equal,
     }
 
@@ -811,13 +834,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         ),
         # Absolute best-of-N seconds, worst domain; recorded, not gated.
         "figure9_sweep_s_max": max(
-            domains[d]["figure9_sweep"]["best_s"] for d in domains
+            domains[d]["figure9_sweep"]["vectorized_s"] for d in domains
         ),
         "compile_warm_s_max": max(
             domains[d]["compile"]["vectorized_warm_s"] for d in domains
         ),
         "streaming_warm_per_day_s_max": max(
-            domains[d]["streaming"]["warm_per_day_best_s"] for d in domains
+            domains[d]["streaming"]["warm_per_day_s"] for d in domains
         ),
         "copy_structures_build_s_max": max(
             domains[d]["copy_detection"]["structures_build_s"] for d in domains

@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.attributes import AttributeSpec, AttributeTable
 from repro.core.columnar import (
     ColumnarView,
+    CompiledClusters,
     build_view,
     compile_clusters,
     compute_tolerances,
@@ -227,15 +228,11 @@ class Dataset:
         """
         if self._clusterings is None:
             self._clusterings = {}
-            if self._frozen:
-                view = self.columnar
-                tolerances = self._tolerance_array()
-                try:
-                    compiled = compile_clusters(view, tolerances)
-                except ValueError:
-                    pass  # per-item fallback below reproduces the legacy error
-                else:
-                    self._clusterings = materialize_clusterings(view, compiled)
+            compiled = self._compiled_clusters()
+            if compiled is not None:
+                self._clusterings = materialize_clusterings(
+                    self.columnar, compiled
+                )
         cached = self._clusterings.get(item)
         if cached is not None:
             return cached
@@ -246,6 +243,43 @@ class Dataset:
         if self._frozen:
             self._clusterings[item] = clustering
         return clustering
+
+    def dominant_values(self, items: Iterable[DataItem]) -> Dict[DataItem, Value]:
+        """``clustering(item).dominant.representative`` of each given item
+        that has claims, in ``items`` order.
+
+        On a frozen dataset the values are read off the first cluster of
+        each item in one :func:`compile_clusters` pass, and nothing is
+        cached per item.  Where that kernel cannot bucket the claims, this
+        falls back to :meth:`clustering`, as that method does.
+        """
+        compiled = self._compiled_clusters()
+        if compiled is None:
+            dominant: Dict[DataItem, Value] = {}
+            for item in items:
+                clusters = self.clustering(item).clusters
+                if clusters:
+                    dominant[item] = clusters[0].representative
+            return dominant
+        view = self.columnar
+        first = compiled.cluster_value[compiled.item_start[:-1]]
+        by_item = {
+            view.items[code]: view.values[value]
+            for code, value in zip(compiled.item_index.tolist(), first.tolist())
+        }
+        return {item: by_item[item] for item in items if item in by_item}
+
+    def _compiled_clusters(self) -> Optional[CompiledClusters]:
+        """Every item's clusters from the vectorized kernel, or ``None`` when
+        the dataset is not frozen or the kernel cannot handle its claims
+        (non-numeric values under a bucketed attribute); the per-item path
+        then reproduces the legacy behaviour, error included."""
+        if not self._frozen:
+            return None
+        try:
+            return compile_clusters(self.columnar, self._tolerance_array())
+        except ValueError:
+            return None
 
     def _tolerance_array(self) -> np.ndarray:
         """Tolerances aligned with the columnar view's attribute order."""

@@ -87,17 +87,39 @@ class _SnapshotMemo(dict):
     As a dict: ``world.true_value`` memoized by ``(object, attribute,
     day)``, so the world is asked once per key.  ``data_items`` interns the
     data items (object -> attribute -> :class:`DataItem`), so all sources'
-    claims on one item share one key object.
+    claims on one item share one key object.  :meth:`claim` interns the
+    claims: most sources give an item its dominant value and copiers repeat
+    their original, so one frozen :class:`Claim` per distinct reading
+    serves every source that reports it.
     """
 
     def __init__(self, world: World):
         super().__init__()
         self.world = world
         self.data_items: Dict[str, Dict[str, DataItem]] = {}
+        self.claims: Dict[tuple, Claim] = {}
 
     def __missing__(self, key: Tuple[str, str, int]) -> Value:
         value = self[key] = self.world.true_value(*key)
         return value
+
+    def claim(
+        self, value: Value, granularity: Optional[float],
+        reason: Optional[ErrorReason],
+    ) -> Claim:
+        """The snapshot's one :class:`Claim` for this exact reading.
+
+        The key separates what ``==`` merges: the value's type, and the
+        sign of a zero (``0.0 == -0.0``, but their ``repr`` differ).
+        """
+        key = (
+            value.__class__, value, value == 0 and math.copysign(1.0, value),
+            granularity, reason,
+        )
+        claim = self.claims.get(key)
+        if claim is None:
+            claim = self.claims[key] = Claim(value, granularity, reason)
+        return claim
 
 
 class ClaimGenerator:
@@ -145,7 +167,7 @@ class ClaimGenerator:
             )
             for attribute in profile.schema
         ]
-        interned = memo.data_items
+        interned, claim = memo.data_items, memo.claim
         out: Dict[DataItem, Claim] = {}
         for object_id in objects:
             items = interned.get(object_id)
@@ -162,7 +184,7 @@ class ClaimGenerator:
                     item = items[attribute] = DataItem(object_id, attribute)
                 if copies and item in original_claims and random() < copy_rate:
                     origin = original_claims[item]
-                    out[item] = Claim(
+                    out[item] = claim(
                         origin.value,
                         origin.granularity,
                         ErrorReason.COPIED if origin.reason is not None else None,
@@ -198,7 +220,7 @@ class ClaimGenerator:
                 granularity: Optional[float] = None
                 if sigfigs is not None and not isinstance(value, str):
                     value, granularity = _round_sigfigs(float(value), sigfigs)
-                out[item] = Claim(value, granularity, reason)
+                out[item] = claim(value, granularity, reason)
         return out
 
     def _apply_error(

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from array import array
 from dataclasses import dataclass
@@ -95,13 +96,14 @@ def _claim_from_row(row: List[str]) -> Tuple[str, DataItem, Claim]:
         )
     source_id, object_id, attribute, payload, granularity = row
     value = _decode_value(payload)
+    step: Optional[float] = None
     if granularity:
         try:
-            step: Optional[float] = float(granularity)
+            step = float(granularity)
         except ValueError:
-            raise ValueParseError(f"bad granularity {granularity!r}") from None
-    else:
-        step = None
+            step = math.nan
+        if not 0.0 < step < math.inf:  # a rounding step is finite and > 0
+            raise ValueParseError(f"bad granularity {granularity!r}")
     return source_id, DataItem(object_id, attribute), Claim(value, step)
 
 

@@ -165,11 +165,7 @@ def dominant_precision_over_time(
     result: Dict[str, float] = {}
     for snapshot in series:
         gold = gold_by_day[snapshot.day]
-        dominant = {}
-        for item in gold.items:
-            clustering = snapshot.clustering(item)
-            if clustering.clusters:
-                dominant[item] = clustering.dominant.representative
+        dominant = snapshot.dominant_values(gold.items)
         _items, _output, correct = score_selection(snapshot, gold, dominant)
         total = len(dominant)
         result[snapshot.day] = int(correct.sum()) / total if total else 0.0

@@ -94,6 +94,62 @@ class TestTolerance:
         assert ds.clustering(item) is ds.clustering(item)
 
 
+class TestDominantValues:
+    """``dominant_values`` == ``clustering(item).dominant.representative``."""
+
+    @staticmethod
+    def _reference(dataset, items):
+        dominant = {}
+        for item in items:
+            clustering = dataset.clustering(item)
+            if clustering.clusters:
+                dominant[item] = clustering.dominant.representative
+        return dominant
+
+    @pytest.mark.parametrize("domain", ["stock", "flight"])
+    def test_matches_the_clusterings_on_every_day(
+        self, domain, stock_collection, flight_collection
+    ):
+        collection = {"stock": stock_collection, "flight": flight_collection}
+        collection = collection[domain]
+        for snapshot in collection.series:
+            items = list(collection.gold_for(snapshot.day).items)
+            snapshot._clusterings = None
+            got = snapshot.dominant_values(items)
+            assert snapshot._clusterings is None  # nothing cached per item
+            want = self._reference(snapshot, items)
+            assert list(got) == list(want)
+            assert [repr(v) for v in got.values()] == [
+                repr(v) for v in want.values()
+            ]
+
+    def test_falls_back_to_the_clusterings_where_the_kernel_cannot_bucket(self):
+        ds = build_dataset({
+            ("s1", "o1", "price"): 10.0,
+            ("s2", "o1", "price"): 10.04,
+            ("s3", "o1", "price"): 10.5,
+            ("s1", "o2", "price"): -0.0,
+            ("s2", "o2", "price"): 0.0,
+            ("s1", "o3", "gate"): "B7",
+            ("s1", "junk", "price"): "n/a",  # string under a bucketed attr
+            ("s2", "junk", "price"): 3.0,
+        })
+        junk = DataItem("junk", "price")
+        items = [DataItem("o1", "price"), DataItem("o2", "price"),
+                 DataItem("o3", "gate"), DataItem("o9", "price")]
+        assert ds._compiled_clusters() is None  # the kernel raised
+        got = ds.dominant_values(items)
+        want = self._reference(ds, items)
+        assert list(got) == list(want) == items[:3]
+        assert [repr(v) for v in got.values()] == [
+            repr(v) for v in want.values()
+        ]
+        with pytest.raises(ValueError):
+            ds.clustering(junk)
+        with pytest.raises(ValueError):
+            ds.dominant_values([junk])
+
+
 class TestWithoutSources:
     def test_removes_claims_and_sources(self):
         ds = build_dataset({

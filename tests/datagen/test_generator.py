@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.records import ErrorReason
 from repro.datagen.generator import (
+    _SnapshotMemo,
     covered_objects_for,
     generate_snapshot,
     rng_for,
@@ -121,3 +122,36 @@ class TestSnapshotGeneration:
         assert shared
         for item in shared:
             assert claims_a[item].value == pytest.approx(claims_b[item].value)
+
+
+def _reading(claim):
+    """A claim's exact reading: what its ``repr`` and digest lines show."""
+    value = claim.value
+    return (type(value), repr(value), repr(claim.granularity), claim.reason)
+
+
+class TestClaimInterning:
+    """Each snapshot holds one ``Claim`` object per distinct exact reading."""
+
+    @pytest.mark.parametrize("domain", ["stock", "flight"])
+    def test_one_claim_object_per_distinct_reading(
+        self, domain, stock_collection, flight_collection
+    ):
+        collection = {"stock": stock_collection, "flight": flight_collection}
+        for snapshot in collection[domain].series:
+            objects = {id(c): c for _item, _src, c in snapshot.iter_claims()}
+            readings = {_reading(c) for c in objects.values()}
+            assert len(objects) == len(readings) < snapshot.num_claims
+
+    def test_readings_that_compare_equal_stay_apart(self, world):
+        memo = _SnapshotMemo(world)
+        zero, negative_zero = memo.claim(0.0, None, None), memo.claim(-0.0, None, None)
+        assert zero is not negative_zero
+        assert repr(zero.value) == "0.0" and repr(negative_zero.value) == "-0.0"
+        assert memo.claim(0.0, None, None) is zero
+        assert memo.claim(-0.0, None, None) is negative_zero
+        assert memo.claim(1, None, None) is not memo.claim(1.0, None, None)
+        assert memo.claim(1.0, 0.1, None) is not memo.claim(1.0, None, None)
+        copied = memo.claim(1.0, None, ErrorReason.COPIED)
+        assert copied is not memo.claim(1.0, None, None)
+        assert memo.claim(1.0, None, ErrorReason.COPIED) is copied

@@ -115,6 +115,19 @@ class TestFuseSolverFlags:
         err = capsys.readouterr().err
         assert "error: " in err and "claim row has 2 fields, expected 5" in err
 
+    @pytest.mark.parametrize("granularity", ["nan", "inf", "-1.0", "0"])
+    def test_fuse_rejects_a_granularity_that_is_not_a_positive_step(
+        self, claims_csv, tmp_path, capsys, granularity
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            claims_csv.read_text() + f"s4,o1,price,f:10.0,{granularity}\n"
+        )
+        assert main(["fuse", str(bad), "--method", "AccuFormat"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.csv, line " in err
+        assert f"bad granularity {granularity!r}" in err
+
     def test_fuse_reports_a_missing_claims_file(self, tmp_path, capsys):
         assert main(["fuse", str(tmp_path / "missing.csv")]) == 2
         err = capsys.readouterr().err

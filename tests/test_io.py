@@ -82,6 +82,10 @@ class TestClaimsRoundTrip:
         [
             ("s9,o9,price", "line 13: claim row has 3 fields, expected 5"),
             ("s9,o9,price,f:1.0,abc", "line 13: bad granularity 'abc'"),
+            ("s9,o9,price,f:1.0,nan", "line 13: bad granularity 'nan'"),
+            ("s9,o9,price,f:1.0,inf", "line 13: bad granularity 'inf'"),
+            ("s9,o9,price,f:1.0,-1.0", "line 13: bad granularity '-1.0'"),
+            ("s9,o9,price,f:1.0,0", "line 13: bad granularity '0'"),
             ("s9,o9,price,1.0,", "line 13: untagged value payload '1.0'"),
             ("s1,o1,price,f:3.0,", "line 13: second claim by 's1' on ('o1', 'price')"),
             ("", None),  # blank rows are skipped
